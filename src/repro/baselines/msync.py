@@ -33,7 +33,6 @@ class MsyncSnapshot(GlobalEpochScheme):
     """Page-granularity copy-on-write with msync epoch boundaries."""
 
     name = "msync_snapshot"
-    parallel_safe = False  # not yet validated against the parallel engine
     persistence_barriers = True
     software_redirection = "page_fault"
     minimum_write_amplification = False

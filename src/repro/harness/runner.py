@@ -33,7 +33,7 @@ from ..baselines import (
     SWUndoLogging,
 )
 from ..core import NVOverlay, NVOverlayParams
-from ..sim import machine_for
+from ..sim import Machine
 from ..sim.scheme import SnapshotScheme
 from ..workloads import make_workload
 from .spec import RunSpec
@@ -141,7 +141,7 @@ def simulate(spec: RunSpec) -> RunRecord:
         from ..oracle import ProtocolOracle
 
         oracle = ProtocolOracle()
-    machine = machine_for(
+    machine = Machine(
         config,
         scheme=scheme,
         capture_store_log=spec.capture_store_log,

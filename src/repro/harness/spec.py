@@ -51,7 +51,7 @@ from ..sim.config import (
 #: 6: ``serve`` joined the spec (snapshot-serving reader policy); serve
 #: runs interleave reader NVM traffic and GC with the write stream, so
 #: their records must never collide with write-only cells.
-#: 7: SystemConfig grew ``sim_workers`` (parallel execution engine),
+#: 7: SystemConfig grew a worker count for a parallel execution engine,
 #: which joins the canonical config dict.  Results are bit-identical
 #: across worker counts, but the engines are distinct code paths and a
 #: cached record must say which one produced it.
@@ -60,7 +60,10 @@ from ..sim.config import (
 #: icl/jass_adaptive/msync_snapshot joined the scheme registry.
 #: Existing cells' behavior is unchanged (their hashes prove it); only
 #: the cache keys move because the canonical config dict grew a field.
-CACHE_SCHEMA_VERSION = 8
+#: 9: the parallel engine and its worker count left SystemConfig (one
+#: execution engine), so the canonical config dict lost a field;
+#: behavior is unchanged.
+CACHE_SCHEMA_VERSION = 9
 
 
 # --------------------------------------------------------------------------

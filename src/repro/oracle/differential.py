@@ -51,10 +51,6 @@ DEFAULT_SCHEMES = ("nvoverlay", "picl", "ideal")
 class FrozenWorkload:
     """A fully materialized per-thread access trace (replayable N times)."""
 
-    #: The trace is already materialized, so regenerating a thread's
-    #: stream is pure — shard workers may prefetch it in any order.
-    stream_stable = True
-
     def __init__(self, batches: Dict[int, List[List[tuple]]]) -> None:
         self.num_threads = len(batches)
         self._batches = batches

@@ -24,7 +24,6 @@ from .hierarchy import Hierarchy
 from .interconnect import Interconnect
 from .memory import MainMemory, line_base, line_of, lines_touched, page_of
 from .nvm import NVM, WRITE_CATEGORIES
-from .parallel import ParallelMachine, ShardPlan, ShardWorker, machine_for
 from .scheme import (
     EVICT_REASONS,
     REASON_CAPACITY,
@@ -61,9 +60,6 @@ __all__ = [
     "NoSnapshot",
     "PAGE_SHIFT",
     "PAGE_SIZE",
-    "ParallelMachine",
-    "ShardPlan",
-    "ShardWorker",
     "REASON_CAPACITY",
     "REASON_COHERENCE",
     "REASON_OTHER",
@@ -82,7 +78,6 @@ __all__ = [
     "WearReport",
     "WearTracker",
     "line_base",
-    "machine_for",
     "validate_hierarchy",
     "line_of",
     "lines_touched",

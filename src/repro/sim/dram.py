@@ -33,20 +33,18 @@ class DRAM:
         # Direct ref into the counter dict (Stats.reset clears in place).
         self._counters = stats._counters
 
-    def _controller_of(self, line: int) -> int:
-        # Hash address bits so strided patterns spread over controllers.
-        mixed = line ^ (line >> 4) ^ (line >> 9)
-        return mixed % self.num_controllers
-
     def access(self, line: int, now: int, is_write: bool) -> int:
         """Perform one line transfer; returns the access latency."""
-        ctrl = self._controller_of(line)
-        if now > self._last[ctrl]:
-            drained = now - self._last[ctrl]
-            self._backlog[ctrl] = max(0, self._backlog[ctrl] - drained)
+        # Hash address bits so strided patterns spread over controllers.
+        ctrl = (line ^ (line >> 4) ^ (line >> 9)) % self.num_controllers
+        backlog = self._backlog
+        last = self._last[ctrl]
+        if now > last:
+            remaining = backlog[ctrl] - (now - last)
+            backlog[ctrl] = remaining if remaining > 0 else 0
             self._last[ctrl] = now
-        queue_delay = self._backlog[ctrl]
-        self._backlog[ctrl] += self.OCCUPANCY
+        queue_delay = backlog[ctrl]
+        backlog[ctrl] = queue_delay + self.OCCUPANCY
         count_key, bytes_key = self._write_keys if is_write else self._read_keys
         counters = self._counters
         try:

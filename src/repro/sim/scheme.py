@@ -46,12 +46,6 @@ class SnapshotScheme:
     #: Enables NVOverlay's CST in the hierarchy: OID tagging, store-
     #: eviction, version-aware write-backs, Lamport epoch synchronization.
     uses_version_protocol = False
-    #: Inside the parallel engine's support envelope?  The fused/general
-    #: committers are validated (golden parity + fuzzer on both engines)
-    #: only for the schemes that ship with that validation; a scheme
-    #: outside the envelope sets this False and ``ParallelMachine``
-    #: silently falls back to the bit-identical serial engine.
-    parallel_safe = True
 
     # Table I qualitative feature flags (defaults describe an ideal,
     # non-snapshotting system; each scheme overrides its own row).

@@ -23,9 +23,6 @@ class UniformRandom(Workload):
     """Uniform loads/stores over per-thread regions + a shared region."""
 
     name = "uniform"
-    # Per-thread RNG seeded from (seed, tid) over immutable regions:
-    # streams are order-independent, safe to prefetch in shard workers.
-    stream_stable = True
 
     def __init__(
         self,
@@ -71,7 +68,6 @@ class Zipfian(Workload):
     """Zipf-distributed accesses over a shared region (hot lines)."""
 
     name = "zipf"
-    stream_stable = True
 
     def __init__(
         self,
@@ -125,7 +121,6 @@ class Streaming(Workload):
     """Sequential read-modify-write sweeps over per-thread arrays."""
 
     name = "stream"
-    stream_stable = True
 
     def __init__(
         self,
@@ -160,7 +155,6 @@ class BurstyWrites(Workload):
     """Quiet read phases punctuated by dense write bursts."""
 
     name = "bursty"
-    stream_stable = True
 
     def __init__(
         self,

@@ -244,8 +244,7 @@ class TestEpochSyncBatcherMultiSocket:
     interleaving-invariant outcomes — total committed stores, per-line
     writer histograms, uncontested final writers — and each run's final
     image must equal its own store-log replay.  Sync-batch counters must
-    show the coalescing actually happened.  On top of that, each mode
-    must be bit-identical between the serial and slice-parallel engines.
+    show the coalescing actually happened.
     """
 
     #: (num_cores, num_sockets): one dual- and one quad-socket mesh.
@@ -311,32 +310,3 @@ class TestEpochSyncBatcherMultiSocket:
             f"{sockets}-socket batched vs unbatched disagree:\n"
             + "\n".join(f"  - {m}" for m in mismatches)
         )
-
-    @pytest.mark.parametrize("cores,sockets", SOCKET_GEOMETRIES)
-    @pytest.mark.parametrize("batch", [False, True], ids=["unbatched", "batched"])
-    def test_each_mode_bit_identical_under_parallel_engine(
-        self, cores, sockets, batch
-    ):
-        import dataclasses
-
-        from repro.harness.runner import make_scheme
-        from repro.sim import SystemConfig
-        from repro.sim.parallel import ParallelMachine
-
-        frozen = self._frozen(cores)
-        config = SystemConfig.scaled(
-            cores, num_sockets=sockets, batch_epoch_sync=batch,
-            epoch_size_stores=40,
-        )
-        serial, serial_result = self._run(config, frozen)
-        parallel = ParallelMachine(
-            dataclasses.replace(config, sim_workers=2),
-            scheme=make_scheme("nvoverlay"),
-            capture_store_log=True,
-        )
-        parallel_result = parallel.run(frozen)
-        assert parallel.parallel_engaged
-        assert parallel_result.cycles == serial_result.cycles
-        assert parallel_result.per_thread_cycles == serial_result.per_thread_cycles
-        assert parallel.stats.counters() == serial.stats.counters()
-        assert parallel.hierarchy.memory_image() == serial.hierarchy.memory_image()

@@ -12,16 +12,11 @@ oracle-armed under nvoverlay and ideal on one of several geometries —
 * nvoverlay and ideal agree on every scheme-independent identity
   (store counts, per-line writer histograms, uncontested final writers).
 
-A second sweep replays every seed on the slice-parallel engine
-(``sim_workers=2``) and asserts bit-identity with serial — the fuzzer
-runs in both execution modes.
-
 The seed budget defaults to ~200 spread evenly across the geometries;
 set ``REPRO_FUZZ_SEEDS`` to deepen it (e.g. ``REPRO_FUZZ_SEEDS=2000``
 for a nightly soak) or to shrink it for a smoke run.
 """
 
-import dataclasses
 import os
 import random
 from typing import List
@@ -137,52 +132,6 @@ def test_fuzz_geometry(geometry_index):
         assert outcomes[0].total_stores > 0, (
             f"seed {seed} ({cores}c): trace committed no stores — fuzzer "
             f"is generating degenerate workloads"
-        )
-
-
-@pytest.mark.parametrize(
-    "geometry_index", range(len(GEOMETRIES)),
-    ids=[f"{c}c-{v}pv-{s}s{'-batched' if b else ''}"
-         for c, v, s, b in GEOMETRIES],
-)
-def test_fuzz_parallel_engine_parity(geometry_index):
-    """Every fuzz seed must be bit-identical under the slice-parallel
-    engine: same cycles, counters and final memory image as serial.
-
-    (The oracle-armed runs above always use the serial engine — an armed
-    oracle forces it — so this sweep is the fuzzer's parallel-mode leg.)
-    """
-    from repro.sim.parallel import ParallelMachine
-
-    cores, cores_per_vd, sockets, batch = GEOMETRIES[geometry_index]
-    config = SystemConfig.scaled(
-        cores,
-        cores_per_vd=cores_per_vd,
-        num_sockets=sockets,
-        batch_epoch_sync=batch,
-    )
-    parallel_config = dataclasses.replace(config, sim_workers=2)
-    for seed in _seeds_for(geometry_index):
-        frozen = freeze_workload(FuzzWorkload(cores, seed))
-        serial = Machine(config, scheme=make_scheme("nvoverlay"))
-        serial_result = serial.run(frozen)
-        parallel = ParallelMachine(
-            parallel_config, scheme=make_scheme("nvoverlay")
-        )
-        parallel_result = parallel.run(frozen)
-        assert parallel.parallel_engaged, f"seed {seed} fell back to serial"
-        mismatch = {
-            field: (getattr(serial_result, field), getattr(parallel_result, field))
-            for field in ("cycles", "stores", "transactions", "per_thread_cycles")
-            if getattr(serial_result, field) != getattr(parallel_result, field)
-        }
-        if serial.stats.counters() != parallel.stats.counters():
-            mismatch["counters"] = "diverged"
-        if serial.hierarchy.memory_image() != parallel.hierarchy.memory_image():
-            mismatch["memory_image"] = "diverged"
-        assert not mismatch, (
-            f"seed {seed} ({cores}c): parallel engine diverged from "
-            f"serial: {mismatch}"
         )
 
 

@@ -26,6 +26,11 @@ class TestRunner:
         with pytest.raises(ValueError):
             machine.run(RandomWorkload(num_threads=64))
 
+    def test_thread_overflow_rejected(self):
+        machine = Machine(tiny_config())
+        with pytest.raises(ValueError, match="threads but the machine only has"):
+            machine.run(RandomWorkload(num_threads=tiny_config().num_cores + 1))
+
     def test_deterministic_across_runs(self):
         results = []
         for _ in range(2):

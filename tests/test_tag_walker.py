@@ -87,3 +87,45 @@ class TestMinVerReports:
 
         machine.run(W())
         assert done["min_ver"] == 5
+
+
+class TestEpochOnePasses:
+    """Passes completed while every VD is still in epoch 1.
+
+    Such a scan persists nothing, but a completed pass must still reach
+    every observer: the oracle's ``walker_pass`` event, the fault
+    injector's ``walker_pass`` crash point and the min-ver report.  The
+    epoch never advances mid-run here (huge epochs, no coherence sync
+    has a newer RV to carry), so every pass is an epoch-1 pass.
+    """
+
+    FAST = dict(tag_walk_rate=4096, epoch_size_stores=10**9)
+
+    def test_oracle_sees_every_pass(self):
+        from repro.oracle import ProtocolOracle
+
+        oracle = ProtocolOracle()
+        scheme = NVOverlay(NVOverlayParams(num_omcs=1, pool_pages=4096))
+        config = tiny_config(**self.FAST)
+        machine = Machine(config, scheme=scheme, oracle=oracle)
+        machine.run(RandomWorkload(num_threads=4, txns_per_thread=200))
+        stats = machine.stats
+        # Only finalize advanced the epochs: the passes all ran in epoch 1.
+        assert stats.get("epoch.coherence_syncs") == 0
+        assert stats.get("epoch.advances") == config.num_vds
+        passes = stats.get("walker.passes")
+        assert passes > 0
+        assert oracle.trace.counts.get("walker_pass", 0) == passes
+        assert sum(w.passes_completed for w in scheme.walkers) == passes
+
+    def test_crash_at_first_pass_recovers_golden_image(self):
+        from repro.faults import CrashPlan, verify_crash
+        from repro.harness.spec import RunSpec
+
+        spec = RunSpec(workload="uniform", scheme="nvoverlay", scale=0.05,
+                       config=tiny_config(**self.FAST))
+        result = verify_crash(spec, CrashPlan.at_walker_pass(1))
+        assert result.crashed and result.crash_event == "walker_pass"
+        assert result.stats.get("epoch.advances") == 0
+        assert result.matches, result.mismatches
+        assert result.frontier_ok
