@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness.bench import run_fingerprint
-from repro.harness.spec import RunSpec
+from repro.harness.spec import RunSpec, nvo_params_from_dict
+from repro.serve import ServePolicy
 from repro.sim.config import SystemConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_parity.json"
@@ -33,33 +34,48 @@ def _cell_id(cell):
         geometry += "-batched"
     if cell.get("nvm_profile", "local") != "local":
         geometry += f"-{cell['nvm_profile']}"
+    if cell.get("serve"):
+        geometry += "-serve"
     return f"{cell['workload']}-{cell['scheme']}{geometry}"
 
 
 def _cell_config(cell):
-    """Geometry for a cell: default 16-core unless ``cores`` says else."""
+    """Geometry for a cell: default 16-core unless ``cores`` says else.
+
+    ``epoch_size_stores`` (16-core cells only) shortens the epochs so a
+    small cell still merges, reclaims and compacts many times.
+    """
     cores = cell.get("cores")
     profile = cell.get("nvm_profile", "local")
     if cores is None:
-        if profile == "local":
-            return None
-        return SystemConfig(nvm_profile=profile)
+        overrides = {}
+        if profile != "local":
+            overrides["nvm_profile"] = profile
+        if "epoch_size_stores" in cell:
+            overrides["epoch_size_stores"] = cell["epoch_size_stores"]
+        return SystemConfig(**overrides) if overrides else None
     return SystemConfig.scaled(
         cores, batch_epoch_sync=cell.get("batch_epoch_sync", False),
         nvm_profile=profile,
     )
 
 
-@pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_fingerprint_matches_seed(cell):
-    spec = RunSpec(
+def _cell_spec(cell):
+    serve = cell.get("serve")
+    return RunSpec(
         workload=cell["workload"],
         scheme=cell["scheme"],
         config=_cell_config(cell),
         scale=cell["scale"],
         seed=cell["seed"],
+        nvo_params=nvo_params_from_dict(cell.get("nvo_params")),
+        serve=ServePolicy.from_dict(serve) if serve else None,
     )
-    fingerprint = run_fingerprint(spec)
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
+def test_fingerprint_matches_seed(cell):
+    fingerprint = run_fingerprint(_cell_spec(cell))
     expected = cell["fingerprint"]
     mismatched = {
         key: (expected[key], fingerprint.get(key))
@@ -110,3 +126,12 @@ def test_fixture_pins_scaled_geometries():
 def test_fingerprint_is_deterministic():
     spec = RunSpec(workload="uniform", scheme="nvoverlay", scale=0.05, seed=3)
     assert run_fingerprint(spec) == run_fingerprint(spec)
+
+
+def test_fixture_pins_version_compaction():
+    """A serve cell under a pool quota pins the GC pass (§V-D)."""
+    gc_cells = [
+        c for c in _CELLS
+        if c.get("serve") and (c.get("nvo_params") or {}).get("quota_pages")
+    ]
+    assert gc_cells, "no serve cell with a pool quota in the fixture"
