@@ -358,6 +358,42 @@ class OMC:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+    def check_master_refs(self) -> None:
+        """Verify every sub-page's ``master_refs`` against the Master Table.
+
+        Counts the Master Table entries pointing into each sub-page and
+        compares them with ``master_refs``, which merge, relocation and
+        rollback maintain incrementally (compaction reads its skip counts
+        and live-slot totals straight off them).  Every referenced
+        sub-page must also be allocated and belong to an epoch.  Only
+        meaningful outside an open merge, whose reclamation is deferred.
+        Raises ``AssertionError`` on any divergence, like
+        ``RadixTree.check_consistency``.
+        """
+        if self.merge_active:
+            raise RuntimeError(f"OMC {self.id}: master_refs checked mid-merge")
+        counted: Dict[int, int] = {}
+        for _line, location in self.master.entries():
+            counted[location.subpage_id] = counted.get(location.subpage_id, 0) + 1
+        subpages = self.pool._subpages
+        for subpage_id in counted:
+            if subpage_id not in subpages:
+                raise AssertionError(
+                    f"OMC {self.id}: Master Table points into freed sub-page "
+                    f"{subpage_id}"
+                )
+            if subpage_id not in self._subpage_epoch:
+                raise AssertionError(
+                    f"OMC {self.id}: referenced sub-page {subpage_id} has no epoch"
+                )
+        for subpage_id, subpage in subpages.items():
+            found = counted.get(subpage_id, 0)
+            if subpage.master_refs != found:
+                raise AssertionError(
+                    f"OMC {self.id}: sub-page {subpage_id} records "
+                    f"{subpage.master_refs} master refs, Master Table holds {found}"
+                )
+
     def master_metadata_bytes(self) -> int:
         return self.master.node_bytes()
 

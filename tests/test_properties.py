@@ -117,6 +117,33 @@ class TestSnapshotProperty:
         image = SnapshotReader(scheme.cluster).recover()
         assert image.lines == golden_image(machine.hierarchy.store_log, image.epoch)
 
+    @given(scripts_strategy(), st.integers(2, 12), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_compaction_keeps_recovery_and_master_refs(
+        self, scripts, epoch_size, retain
+    ):
+        """Under a one-page quota every merge compacts; the recovered
+        image stays golden and ``master_refs`` stays exact, before and
+        after a serve-side reclaim."""
+        scheme = NVOverlay(NVOverlayParams(
+            num_omcs=1, pool_pages=64, quota_pages=1, os_grow_pages=16,
+            retain_epoch_tables=retain,
+        ))
+        machine = Machine(
+            tiny_config(epoch_size_stores=epoch_size),
+            scheme=scheme,
+            capture_store_log=True,
+        )
+        machine.run(ScriptedWorkload(scripts))
+        cluster = scheme.cluster
+        log = machine.hierarchy.store_log
+        for _ in range(2):
+            for omc in cluster.omcs:
+                omc.check_master_refs()
+            image = SnapshotReader(cluster).recover()
+            assert image.lines == golden_image(log, image.epoch)
+            cluster.reclaim(0)
+
     @given(scripts_strategy(num_threads=4, max_txns=25))
     @settings(max_examples=25, deadline=None)
     def test_every_epoch_reconstructs(self, scripts):

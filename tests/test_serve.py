@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core import NVOverlayParams, OMCCluster
-from repro.harness.runner import make_scheme, run_one
+from repro.harness.runner import build_run, make_scheme, run_one
 from repro.harness.spec import RunSpec
 from repro.oracle import InvariantViolation, ProtocolOracle
 from repro.serve import MODES, ReaderScheduler, ServePolicy, SessionManager
@@ -25,6 +25,11 @@ def make_cluster(**kwargs):
     kwargs.setdefault("pool_pages", 1024)
     kwargs.setdefault("retain_epoch_tables", True)
     return OMCCluster(1, 1, nvm, stats, **kwargs), stats
+
+
+def check_master_refs(cluster):
+    for omc in cluster.omcs:
+        omc.check_master_refs()
 
 
 def advance(cluster, epochs, lines=8):
@@ -118,6 +123,7 @@ class TestSessions:
         advance(cluster, [1, 2])
         # Reclaim with nothing pinned drops epoch 1's retained table.
         cluster.reclaim(0)
+        check_master_refs(cluster)
         manager = SessionManager(cluster)
         session = manager.acquire(epoch=1)
         # Line 3 was rewritten in epoch 2; its epoch-1 version is gone
@@ -133,6 +139,7 @@ class TestSessions:
         cluster, _ = make_cluster()
         advance(cluster, [1, 2, 3])
         cluster.reclaim(0)
+        check_master_refs(cluster)
         manager = SessionManager(cluster)
         session = manager.acquire()  # at the frontier
         for line in range(8):
@@ -145,6 +152,7 @@ class TestSessions:
         manager = SessionManager(cluster)
         session = manager.acquire(epoch=1)
         cluster.reclaim(0)  # must not drop epoch 1 while pinned
+        check_master_refs(cluster)
         data, oid = session.read(3 << 6)
         assert (data, oid) == (103, 1)
         session.release()
@@ -260,6 +268,36 @@ class TestServeDemo:
         # Misses are counted, never wrong data (the oracle checked every
         # resolved read against the session epoch).
         assert e["serve_stale_misses"] + e["serve_cold_misses"] < e["serve_reads"]
+
+    def test_master_refs_hold_after_every_reclaim(self):
+        """Every GC pass of a served run leaves master_refs exact."""
+        spec = RunSpec(
+            workload="load_burst",
+            scheme="nvoverlay",
+            config=SystemConfig(epoch_size_stores=300),
+            scale=0.01,
+            seed=2,
+            nvo_params=NVOverlayParams(
+                pool_pages=512, quota_pages=32, os_grow_pages=128
+            ),
+            serve=ServePolicy(sessions=8, reads_per_session=4, gc_every=16),
+        )
+        machine, workload, scheduler = build_run(spec)
+        cluster = scheduler.cluster
+        reclaim = cluster.reclaim
+        passes = []
+
+        def checked_reclaim(now):
+            moved = reclaim(now)
+            check_master_refs(cluster)
+            passes.append(moved)
+            return moved
+
+        cluster.reclaim = checked_reclaim
+        result = machine.run(workload)
+        scheduler.finalize(result.cycles)
+        assert len(passes) == scheduler.reclaims > 1
+        assert sum(passes) > 0
 
     def test_unserved_runs_are_unchanged(self):
         """serve=None must not perturb the write side at all."""
