@@ -127,17 +127,11 @@ class OMC:
         previous = table.insert(line, location)
         if previous is not None:
             # Redundant write-back within the epoch: the old slot is dead.
-            try:
-                self._counters[self._redundant_key] += 1
-            except KeyError:
-                self.stats.inc(self._redundant_key)
+            self._counters[self._redundant_key] += 1
         self._pending_stall += self.nvm.write_background(
             line, CACHE_LINE_SIZE, now, "data"
         )
-        try:
-            self._counters[self._versions_key] += 1
-        except KeyError:
-            self.stats.inc(self._versions_key)
+        self._counters[self._versions_key] += 1
 
     def _subpage_with_room(self, epoch: int, page: int, for_relocation: bool = False):
         cursor_map = self._reloc_cursors if for_relocation else self._cursors

@@ -47,14 +47,8 @@ class DRAM:
         backlog[ctrl] = queue_delay + self.OCCUPANCY
         count_key, bytes_key = self._write_keys if is_write else self._read_keys
         counters = self._counters
-        try:
-            counters[count_key] += 1
-        except KeyError:
-            self.stats.inc(count_key)
-        try:
-            counters[bytes_key] += CACHE_LINE_SIZE
-        except KeyError:
-            self.stats.inc(bytes_key, CACHE_LINE_SIZE)
+        counters[count_key] += 1
+        counters[bytes_key] += CACHE_LINE_SIZE
         return queue_delay + self.latency
 
     def read(self, line: int, now: int) -> int:

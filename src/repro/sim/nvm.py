@@ -105,18 +105,9 @@ class NVM:
             raise ValueError(f"unknown NVM write category {category!r}") from None
         self.wear.record(line, nbytes)
         counters = self._counters
-        try:
-            counters[writes_key] += 1
-        except KeyError:
-            self.stats.inc(writes_key)
-        try:
-            counters[bytes_key] += nbytes
-        except KeyError:
-            self.stats.inc(bytes_key, nbytes)
-        try:
-            counters[self._bytes_total_key] += nbytes
-        except KeyError:
-            self.stats.inc(self._bytes_total_key, nbytes)
+        counters[writes_key] += 1
+        counters[bytes_key] += nbytes
+        counters[self._bytes_total_key] += nbytes
         self.stats.record_series(
             self._bandwidth_key, completion, nbytes, self.bandwidth_bucket
         )

@@ -7,13 +7,14 @@ latency distributions — how persistence barriers stretch the tail).
 Keeping all measurement in one place means the harness can diff two runs
 without knowing which component produced which number.
 
-Counters are a plain dict on the ``inc`` fast path (``try/except
-KeyError`` registration is free in the common case), and prefix queries
-(``counters(prefix)`` / ``total(prefix)``) go through a lazily-built
-prefix index instead of scanning every key — the report renderer calls
-them once per table cell.  The index holds key lists only; values are
-always read fresh from the counter dict, and any new-key registration
-invalidates it.
+Counters live in a ``defaultdict(int)``: a component bumps
+``counters[name] += n`` on it directly and a first bump registers the
+name.  Prefix queries (``counters(prefix)`` / ``total(prefix)``) go
+through a lazily-built prefix index instead of scanning every key — the
+report renderer calls them once per table cell.  The index holds key
+lists only; values are always read fresh from the counter dict.  Names
+are only ever added, so the index stays valid exactly while the number
+of counters is unchanged.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ class Stats:
     """A flat registry of counters, time series and histograms."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+        self._counters: Dict[str, int] = defaultdict(int)
         # prefix -> list of counter names under it; rebuilt on demand,
-        # dropped whenever a counter name is first registered.
+        # valid while len(_counters) == _indexed_len.
         self._prefix_index: Dict[str, List[str]] = {}
+        self._indexed_len = 0
         self._series: Dict[str, Dict[int, int]] = defaultdict(
             lambda: defaultdict(int)
         )
@@ -42,22 +44,18 @@ class Stats:
 
     # -- counters --------------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
-        try:
-            self._counters[name] += amount
-        except KeyError:
-            self._counters[name] = amount
-            if self._prefix_index:
-                self._prefix_index.clear()
+        self._counters[name] += amount
 
     def set(self, name: str, value: int) -> None:
-        if name not in self._counters and self._prefix_index:
-            self._prefix_index.clear()
         self._counters[name] = value
 
     def get(self, name: str, default: int = 0) -> int:
         return self._counters.get(name, default)
 
     def _prefix_keys(self, prefix: str) -> List[str]:
+        if len(self._counters) != self._indexed_len:
+            self._prefix_index.clear()
+            self._indexed_len = len(self._counters)
         keys = self._prefix_index.get(prefix)
         if keys is None:
             keys = [k for k in self._counters if k.startswith(prefix)]
@@ -144,6 +142,7 @@ class Stats:
     def reset(self) -> None:
         self._counters.clear()
         self._prefix_index.clear()
+        self._indexed_len = 0
         self._series.clear()
         self._series_bucket.clear()
         self._histograms.clear()

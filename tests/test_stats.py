@@ -66,6 +66,22 @@ class TestCounters:
         stats.inc("a.z", 9)
         assert stats.total("a.") == 9
 
+    def test_prefix_index_sees_names_registered_on_the_raw_dict(self):
+        # Components bump the counter dict directly; a first bump there
+        # registers the name without going through inc().
+        stats = Stats()
+        counters = stats._counters
+        counters["a.x"] += 1
+        assert stats.counters("a.") == {"a.x": 1}
+        counters["a.y"] += 4
+        assert stats.counters("a.") == {"a.x": 1, "a.y": 4}
+        assert stats.total("a.") == 5
+        stats.reset()
+        counters["a.z"] += 2
+        assert stats.counters("a.") == {"a.z": 2}
+        counters["a.w"] += 3
+        assert stats.total("a.") == 5
+
     def test_prefix_index_after_merge(self):
         stats = Stats()
         stats.inc("a.x", 1)
