@@ -59,7 +59,6 @@ import sys
 from typing import List, Optional
 
 from .harness import experiments, report
-from .harness.bench import REGRESSION_THRESHOLD as BENCH_REGRESSION_THRESHOLD
 from .harness.cache import RunCache
 from .harness.runner import SCHEMES, compare, run_one
 from .harness.spec import RunSpec
@@ -413,6 +412,8 @@ def _cmd_bench(args) -> int:
 
     from .harness import bench
 
+    if args.threshold is None:
+        args.threshold = bench.REGRESSION_THRESHOLD
     names = args.scenarios.split(",") if args.scenarios else None
     calibration = bench.host_calibration()
     try:
@@ -556,6 +557,8 @@ def _cmd_bench_bisect(args) -> int:
 
     from .harness import bench
 
+    if args.threshold is None:
+        args.threshold = bench.REGRESSION_THRESHOLD
     path = (Path(args.trajectory) if args.trajectory
             else bench.default_trajectory_path())
     data = bench.load_trajectory(path)
@@ -1034,8 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --check: skip the gate instead of "
                               "failing when this environment has no "
                               "baseline entry yet")
-    p_bench.add_argument("--threshold", type=float,
-                         default=BENCH_REGRESSION_THRESHOLD,
+    p_bench.add_argument("--threshold", type=float, default=None,
                          help="regression threshold as a fraction "
                               "(default 0.20)")
     p_bench.add_argument("--detectors", default=None, metavar="NAMES",
@@ -1073,8 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "repo-root BENCH_sim_throughput.json)")
     p_bisect.add_argument("--detectors", default=None, metavar="NAMES",
                           help="comma-separated detector subset")
-    p_bisect.add_argument("--threshold", type=float,
-                          default=BENCH_REGRESSION_THRESHOLD,
+    p_bisect.add_argument("--threshold", type=float, default=None,
                           help="legacy fallback threshold for sample-starved "
                                "entries (default 0.20)")
     p_bisect.add_argument("--recollect", action="store_true",

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -83,3 +88,14 @@ class TestCommands:
         ]) == 0
         assert out_file.exists()
         assert "wrote" in capsys.readouterr().out
+
+
+def test_import_leaves_the_bench_package_unloaded():
+    """``import repro.cli`` must not pay for the bench harness."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro.cli; "
+            "print('repro.harness.bench' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
