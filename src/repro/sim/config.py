@@ -339,8 +339,8 @@ class SystemConfig:
         if self.num_sockets < 1 or self.num_cores % self.num_sockets:
             raise ValueError("cores must divide evenly across sockets")
         if self.num_sockets > 1:
-            # Multi-socket round-robin distribution only makes sense
-            # when every socket gets the same number of VDs and slices.
+            # VDs and slices are split into contiguous blocks, one per
+            # socket, so every socket must get the same number of each.
             if self.num_vds % self.num_sockets:
                 raise ValueError(
                     f"{self.num_vds} VDs cannot distribute evenly over "

@@ -194,15 +194,13 @@ class Hierarchy:
             self.vds[core // config.cores_per_vd]
             for core in range(config.num_cores)
         ]
-        self._inc = stats.inc
-        # The counter dict itself (Stats.reset clears it in place): the
-        # hottest sites inline Stats.inc's try/except body on it.
+        # The counter dict itself (Stats.reset clears it in place); a
+        # first bump registers the name.
         self._counters = stats._counters
         self._mem_lines = mem._lines  # the line->(data, oid) dict itself
         # All L1s share one geometry; peer probes index their set lists
         # directly with a single shared set decomposition.
         self._l1_num_sets = config.l1_geometry.num_sets
-        self._l2_num_sets = config.l2_geometry.num_sets
         self._vd_l1_sets = [
             [self.l1s[core]._sets for core in vd.core_ids] for vd in self.vds
         ]
@@ -348,7 +346,7 @@ class Hierarchy:
         stall = self.config.epoch_advance_stall
         stall += self.scheme.on_epoch_advance(vd.id, scheme_old, new_epoch, now)
         vd.stall_until = max(vd.stall_until, now + stall)
-        self._inc("epoch.advances")
+        self._counters["epoch.advances"] += 1
         oracle_hook = self._oracle_on_epoch
         if oracle_hook is not None:
             oracle_hook(vd, old, new_epoch, now)
@@ -369,11 +367,11 @@ class Hierarchy:
         base = batcher.take(vd.id)
         if base is None:
             return 0
-        stall = self.net.epoch_sync_notify(vd.id)
+        stall = self.net.epoch_sync_notify()
         stall += self.config.epoch_advance_stall
         stall += self.scheme.on_epoch_advance(vd.id, base, vd.cur_epoch, now)
         vd.stall_until = max(vd.stall_until, now + stall)
-        self._inc("epoch.advances")
+        self._counters["epoch.advances"] += 1
         return stall
 
     # ------------------------------------------------------------------
@@ -381,10 +379,7 @@ class Hierarchy:
     # ------------------------------------------------------------------
     def _load(self, core_id: int, line: int, now: int) -> int:
         counters = self._counters
-        try:
-            counters["l1.accesses"] += 1
-        except KeyError:
-            self._inc("l1.accesses")
+        counters["l1.accesses"] += 1
         # Fused L1 hit fast path: one set-dict probe, an in-place LRU
         # touch, a counter bump.  state truthiness == "not I".
         cache_set = self.l1s[core_id]._sets[line % self._l1_num_sets]
@@ -392,15 +387,9 @@ class Hierarchy:
         if entry is not None and entry.state:
             del cache_set[line]
             cache_set[line] = entry
-            try:
-                counters["l1.load_hits"] += 1
-            except KeyError:
-                self._inc("l1.load_hits")
+            counters["l1.load_hits"] += 1
             return self._l1_latency
-        try:
-            counters["l1.load_misses"] += 1
-        except KeyError:
-            self._inc("l1.load_misses")
+        counters["l1.load_misses"] += 1
         latency = self._l1_latency
         vd = self._core_vd[core_id]
         fill_latency, data, oid, state = self._vd_fill(
@@ -415,10 +404,7 @@ class Hierarchy:
     # ------------------------------------------------------------------
     def _store(self, core_id: int, line: int, now: int) -> int:
         counters = self._counters
-        try:
-            counters["l1.accesses"] += 1
-        except KeyError:
-            self._inc("l1.accesses")
+        counters["l1.accesses"] += 1
         # Fused L1 exclusive-hit fast path (E or M: state >= 2; L1 lines
         # are never O): probe + in-place LRU touch + counter + commit.
         l1 = self.l1s[core_id]
@@ -429,15 +415,9 @@ class Hierarchy:
         if entry is not None and entry.state >= MESI.E:
             del cache_set[line]
             cache_set[line] = entry
-            try:
-                counters["l1.store_hits"] += 1
-            except KeyError:
-                self._inc("l1.store_hits")
+            counters["l1.store_hits"] += 1
         elif entry is None or entry.state == MESI.I:
-            try:
-                counters["l1.store_misses"] += 1
-            except KeyError:
-                self._inc("l1.store_misses")
+            counters["l1.store_misses"] += 1
             fill_latency, data, oid, _state = self._vd_fill(
                 vd, core_id, line, for_store=True, now=now + latency
             )
@@ -449,7 +429,7 @@ class Hierarchy:
             # The seed path LRU-touched the line before upgrading.
             del cache_set[line]
             cache_set[line] = entry
-            self._inc("l1.store_upgrades")
+            counters["l1.store_upgrades"] += 1
             latency += self._upgrade_for_store(vd, core_id, line, now + latency)
             entry = l1.lookup(line)
             assert entry is not None
@@ -469,7 +449,7 @@ class Hierarchy:
                 # it to the L2 without invalidating, then the store
                 # happens in place.
                 assert entry.oid < epoch, "version from the future survived sync"
-                self._inc("cst.store_evictions")
+                self._counters["cst.store_evictions"] += 1
                 self._l2_putx(vd, entry.line, entry.data, entry.oid, now)
         else:
             epoch = 0
@@ -480,10 +460,7 @@ class Hierarchy:
         entry.state = MESI.M
         vd.store_count += 1
         vd.total_stores += 1
-        try:
-            counters["stores"] += 1
-        except KeyError:
-            self._inc("stores")
+        counters["stores"] += 1
         if self.store_log is not None:
             self.store_log.append((entry.line, epoch, token, vd.id, core_id))
         oracle_hook = self._oracle_on_store
@@ -497,78 +474,37 @@ class Hierarchy:
         return latency + extra
 
     def _upgrade_for_store(self, vd: VDState, core_id: int, line: int, now: int) -> int:
-        """S -> exclusive: invalidate peers (and other VDs if needed)."""
+        """S -> exclusive: claim the line, then invalidate peer L1 copies.
+
+        A VD that owns the line with no remote sharers already holds
+        exclusive permission.  Otherwise it sends a GETX that asks for no
+        data, since the VD holds the line — unless another VD owns it:
+        a MOESI dirty-shared (O) owner hands over its version, which may
+        be newer than memory.
+        """
         latency = 0
         dentry = self._dir_shards[line % self._num_slices].get(line)
-        owner = dentry.owner if dentry is not None else None
-        other_sharers = (
-            bool(dentry.sharers - {vd.id}) if dentry is not None else False
-        )
-        if owner is not None and owner != vd.id:
-            # MOESI dirty-shared: another VD owns the line in O state;
-            # its (possibly newer-than-memory) version must transfer.
-            latency += self._getx_from_remote_owner(vd, core_id, line, now)
-        elif owner != vd.id or other_sharers:
-            # No exclusive ownership yet (or O-owner with remote S
-            # sharers): claim it and invalidate the other holders.
-            latency += self._inter_getx_permission_only(vd, line, now)
+        if dentry is None or dentry.owner != vd.id or dentry.sharers - {vd.id}:
+            latency, data, oid, dirty = self._inter_getx(
+                vd, line, now, dentry, fetch=False
+            )
+            # RV is 0 (no sync) unless an owner's version travelled.
+            latency += self._epoch_sync(vd, oid, now + latency)
+            # The requester holds the line (inclusive L2), and the GETX
+            # only touched other VDs' copies.
+            l2_entry = vd.l2.probe(line)
+            assert l2_entry is not None, "upgrading VD lost its L2 copy"
+            if data is not None:
+                l2_entry.data, l2_entry.oid = data, oid
+                l2_entry.state = MESI.M if dirty else MESI.E
+                l1_entry = self.l1s[core_id].probe(line)
+                if l1_entry is not None:
+                    l1_entry.data, l1_entry.oid = data, oid
+                    l1_entry.state = MESI.E
+            elif dirty:
+                # The stale LLC copy's write-back obligation moves up.
+                l2_entry.state = MESI.M
         self._invalidate_vd_l1s(vd, line, exclude_core=core_id, now=now + latency)
-        return latency
-
-    def _getx_from_remote_owner(
-        self, vd: VDState, core_id: int, line: int, now: int
-    ) -> int:
-        """Full GETX for a shared line whose dirty owner is another VD."""
-        latency, data, oid, dirty = self._inter_getx(
-            vd, line, now, self._dir_shards[line % self._num_slices].get(line)
-        )
-        latency += self._epoch_sync(vd, oid, now + latency)
-        # The requester is a sharer, so (inclusive L2) it holds the line,
-        # and the GETX only touched other VDs' copies.
-        l2_entry = vd.l2.probe(line)
-        assert l2_entry is not None, "sharer VD lost its L2 copy"
-        l2_entry.data, l2_entry.oid = data, oid
-        l2_entry.state = MESI.M if dirty else MESI.E
-        l1_entry = self.l1s[core_id].probe(line)
-        if l1_entry is not None:
-            l1_entry.data, l1_entry.oid = data, oid
-            l1_entry.state = MESI.E
-        return latency
-
-    def _inter_getx_permission_only(self, vd: VDState, line: int, now: int) -> int:
-        """Upgrade a shared line to owned: data already present locally."""
-        latency = self._request_latency(vd, line)
-        slice_id = line % self._num_slices
-        dir_key = self._llc_dir_access_key[slice_id]
-        try:
-            self._counters[dir_key] += 1
-        except KeyError:
-            self._inc(dir_key)
-        dentry = self._dir_shards[slice_id].get(line)
-        if dentry is None:
-            dentry = self._dir_lookup_or_create(line, now)
-        for other_id in sorted(dentry.holders() - {vd.id}):
-            latency += self._invalidate_vd(self.vds[other_id], line, now + latency)
-        # The LLC data copy goes stale once the upgrading VD writes; a
-        # dirty copy (e.g. from an earlier downgrade) either settles into
-        # working memory (CST: already persisted) or hands its dirty
-        # obligation to the upgrading VD's L2 (baseline: stays on-chip).
-        llc_entry = self.llc[slice_id].probe(line)
-        if llc_entry is not None:
-            if llc_entry.state >= MESI.M:
-                if self.versioned:
-                    self._working_writeback(line, now + latency)
-                    self._memory_update(line, llc_entry.data, llc_entry.oid)
-                else:
-                    l2_entry = vd.l2.probe(line)
-                    if l2_entry is not None:
-                        l2_entry.state = MESI.M
-                    else:  # pragma: no cover - S-holder always has L2 copy
-                        self._working_writeback(line, now + latency)
-                        self._memory_update(line, llc_entry.data, llc_entry.oid)
-            self.llc[slice_id].remove(line)
-        dentry.owner = vd.id
-        dentry.sharers.clear()
         return latency
 
     # ------------------------------------------------------------------
@@ -583,10 +519,7 @@ class Hierarchy:
         """
         latency = self._l2_latency
         counters = self._counters
-        try:
-            counters["l2.accesses"] += 1
-        except KeyError:
-            self._inc("l2.accesses")
+        counters["l2.accesses"] += 1
         l2 = vd.l2
         l2_cache_set = l2._sets[line % l2._num_sets]
         l2_entry = l2_cache_set.get(line)
@@ -598,10 +531,7 @@ class Hierarchy:
         vd_shares = dentry is not None and vd.id in dentry.sharers
 
         if l2_entry is not None and (vd_owns or vd_shares):
-            try:
-                counters["l2.hits"] += 1
-            except KeyError:
-                self._inc("l2.hits")
+            counters["l2.hits"] += 1
             # Serve locally.  A peer L1 may hold a newer dirty copy.
             peer = self._find_l1_dirty_peer(vd, line, exclude_core=core_id)
             if peer is not None:
@@ -611,23 +541,10 @@ class Hierarchy:
                 l2_entry = vd.l2.lookup(line)
                 assert l2_entry is not None
             if for_store:
-                other_sharers = (
-                    bool(dentry.sharers - {vd.id}) if dentry is not None else False
-                )
-                if not vd_owns or other_sharers:
-                    owner = dentry.owner if dentry is not None else None
-                    if owner is not None and owner != vd.id:
-                        # MOESI dirty-shared owner elsewhere: full GETX.
-                        latency += self._getx_from_remote_owner(
-                            vd, core_id, line, now + latency
-                        )
-                        l2_entry = vd.l2.probe(line)
-                        assert l2_entry is not None
-                    else:
-                        latency += self._inter_getx_permission_only(
-                            vd, line, now + latency
-                        )
-                self._invalidate_vd_l1s(vd, line, exclude_core=core_id, now=now + latency)
+                latency += self._upgrade_for_store(vd, core_id, line, now + latency)
+                # Serve the L2 copy as the upgrade left it: a remote
+                # owner's version may have replaced its data.
+                l2_entry = vd.l2.probe(line)
                 state = MESI.E
             else:
                 exclusive = (
@@ -638,10 +555,7 @@ class Hierarchy:
                 state = MESI.E if exclusive else MESI.S
             return latency, l2_entry.data, l2_entry.oid, state
 
-        try:
-            counters["l2.misses"] += 1
-        except KeyError:
-            self._inc("l2.misses")
+        counters["l2.misses"] += 1
         # Inter-VD request at ``rnow``: GETX through ``_inter_getx``, GETS
         # inline.  The directory entry and the L2 set fetched above stay
         # valid through the request, which only changes other VDs'
@@ -657,17 +571,8 @@ class Hierarchy:
             dirty = False
             vd_id = vd.id
             slice_id = line % self._num_slices
-            if self.snoop:
-                net_latency = self.net.snoop_broadcast(self.config.num_vds)
-            else:
-                net_latency = (
-                    self.net.vd_to_llc(vd_id, slice_id) + self._llc_latency
-                )
-            dir_key = self._llc_dir_access_key[slice_id]
-            try:
-                counters[dir_key] += 1
-            except KeyError:
-                self._inc(dir_key)
+            net_latency = self._request_latency(vd, slice_id)
+            counters[self._llc_dir_access_key[slice_id]] += 1
             if dentry is None:
                 dentry = self._dir_lookup_or_create(line, rnow)
             owner_id = dentry.owner
@@ -689,45 +594,18 @@ class Hierarchy:
                     dentry.owner = None
                     dentry.sharers.add(vd_id)
             else:
-                array = self.llc[slice_id]
-                llc_set = array._sets[line % array._num_sets]
-                llc_entry = llc_set.get(line)
-                if llc_entry is not None:
-                    del llc_set[line]  # LRU touch (lookup(touch=True))
-                    llc_set[line] = llc_entry
-                    hit_key = self._llc_hit_key[slice_id]
-                    try:
-                        counters[hit_key] += 1
-                    except KeyError:
-                        self._inc(hit_key)
-                    if (
-                        owner_id is None
-                        and not dentry.sharers
-                        and not llc_entry.state >= MESI.M
-                    ):
-                        dentry.owner = vd_id
-                    else:
-                        dentry.sharers.add(vd_id)
-                    # Versioned mode: the OMC may have refreshed the working
-                    # copy (tag-walker write-backs) after this LLC copy was
-                    # inserted; serve whichever is newer.
-                    data, oid = llc_entry.data, llc_entry.oid
-                    if self.versioned:
-                        mem_data, mem_oid = self.mem.read_line(line)
-                        if mem_oid > oid:
-                            data, oid = mem_data, mem_oid
+                read_latency, llc_entry, data, oid = self._fill_read(
+                    line, slice_id, rnow + net_latency
+                )
+                net_latency += read_latency
+                if (
+                    owner_id is None
+                    and not dentry.sharers
+                    and (llc_entry is None or llc_entry.state < MESI.M)
+                ):
+                    dentry.owner = vd_id
                 else:
-                    miss_key = self._llc_miss_key[slice_id]
-                    try:
-                        counters[miss_key] += 1
-                    except KeyError:
-                        self._inc(miss_key)
-                    data, oid = self.mem.read_line(line)
-                    net_latency += self._working_read(line, rnow + net_latency)
-                    if owner_id is None and not dentry.sharers:
-                        dentry.owner = vd_id
-                    else:
-                        dentry.sharers.add(vd_id)
+                    dentry.sharers.add(vd_id)
             state = MESI.E if dentry.owner == vd_id else MESI.S
             fill_state = state
         latency += net_latency
@@ -831,18 +709,12 @@ class Hierarchy:
             entry = cache_set[next(iter(cache_set))]
             counters = self._counters
             if entry.state >= MESI.M:
-                try:
-                    counters["l1.dirty_evictions"] += 1
-                except KeyError:
-                    self._inc("l1.dirty_evictions")
+                counters["l1.dirty_evictions"] += 1
                 self._l2_putx(
                     self._core_vd[core_id], entry.line, entry.data, entry.oid, now
                 )
             del cache_set[entry.line]
-            try:
-                counters["l1.evictions"] += 1
-            except KeyError:
-                self._inc("l1.evictions")
+            counters["l1.evictions"] += 1
             # Recycle the victim's CacheLine: once out of the set nothing
             # holds it (hooks and logs copy fields, never keep entries).
             entry.line = line
@@ -899,10 +771,7 @@ class Hierarchy:
         entry = l2_set.get(line)
         assert entry is not None
         if entry.state >= MESI.M:
-            try:
-                self._counters["l2.dirty_evictions"] += 1
-            except KeyError:
-                self._inc("l2.dirty_evictions")
+            self._counters["l2.dirty_evictions"] += 1
             if self.versioned:
                 latency += self._version_writeback(
                     vd, line, entry.data, entry.oid, reason, to_llc=True, now=now
@@ -916,10 +785,7 @@ class Hierarchy:
             # Clean victim: keep a copy in the non-inclusive LLC.
             latency += self._llc_insert(line, entry.data, entry.oid, dirty=False, now=now)
         del l2_set[line]
-        try:
-            self._counters["l2.evictions"] += 1
-        except KeyError:
-            self._inc("l2.evictions")
+        self._counters["l2.evictions"] += 1
         # Every branch above left the line in the LLC, so its directory
         # entry stays even once no VD holds the line; evicting the LLC
         # copy drops an empty entry (``_evict_llc_victim``).
@@ -941,19 +807,13 @@ class Hierarchy:
         now: int,
     ) -> int:
         """Send a version to the OMC (bypassing the LLC, §IV-A2)."""
-        latency = self.net.vd_to_omc(vd.id)
+        latency = self.net.vd_to_omc()
         counters = self._counters
-        try:
-            counters["cst.version_writebacks"] += 1
-        except KeyError:
-            self._inc("cst.version_writebacks")
+        counters["cst.version_writebacks"] += 1
         key = self._evict_reason_key.get(reason)
         if key is None:
             key = f"evict_reason.{reason}"
-        try:
-            counters[key] += 1
-        except KeyError:
-            self._inc(key)
+        counters[key] += 1
         latency += self.scheme.on_version_writeback(vd.id, line, oid, data, reason, now)
         oracle_hook = self._oracle_on_writeback
         if oracle_hook is not None:
@@ -975,10 +835,7 @@ class Hierarchy:
         array = self.llc[slice_id]
         latency = self._llc_latency
         fill_key = self._llc_fill_key[slice_id]
-        try:
-            self._counters[fill_key] += 1
-        except KeyError:
-            self._inc(fill_key)
+        self._counters[fill_key] += 1
         cache_set = array._sets[line % array._num_sets]
         existing = cache_set.get(line)
         if existing is not None:
@@ -994,20 +851,14 @@ class Hierarchy:
         victim = cache_set[next(iter(cache_set))]
         latency = 0
         if victim.state >= MESI.M:
-            try:
-                self._counters["llc.dirty_evictions"] += 1
-            except KeyError:
-                self._inc("llc.dirty_evictions")
+            self._counters["llc.dirty_evictions"] += 1
             self._working_writeback(victim.line, now)
             self._memory_update(victim.line, victim.data, victim.oid)
             hook = self._scheme_on_llc_dirty_eviction
             if hook is not None:
                 latency += hook(victim.line, victim.oid, victim.data, now)
         del cache_set[victim.line]
-        try:
-            self._counters["llc.evictions"] += 1
-        except KeyError:
-            self._inc("llc.evictions")
+        self._counters["llc.evictions"] += 1
         shard = self._dir_shards[victim.line % self._num_slices]
         dentry = shard.get(victim.line)
         if dentry is not None and dentry.owner is None and not dentry.sharers:
@@ -1054,7 +905,7 @@ class Hierarchy:
         ):
             victim = next(iter(shard))
             self._dir_back_invalidate(victim, now)
-            self._inc("dir.back_invalidations")
+            self._counters["dir.back_invalidations"] += 1
         dentry = DirEntry()
         shard[line] = dentry
         return dentry
@@ -1084,14 +935,11 @@ class Hierarchy:
     # ------------------------------------------------------------------
     # Inter-VD coherence through the directory (or snoop bus)
     # ------------------------------------------------------------------
-    def _request_latency(self, vd: VDState, line: int) -> int:
+    def _request_latency(self, vd: VDState, slice_id: int) -> int:
         """Cost of getting an inter-VD request adjudicated."""
         if self.snoop:
             return self.net.snoop_broadcast(self.config.num_vds)
-        return (
-            self.net.vd_to_llc(vd.id, self.slice_of(line))
-            + self._llc_latency
-        )
+        return self.net.vd_to_llc(vd.id, slice_id) + self._llc_latency
 
     def _forward_latency(self, vd: VDState, owner: VDState) -> int:
         """Cost of reaching the current owner with the request."""
@@ -1101,24 +949,52 @@ class Hierarchy:
             return self.net.cache_to_cache(owner.id, vd.id)
         return self.net.vd_to_vd_via_directory(vd.id, owner.id)
 
+    def _fill_read(
+        self, line: int, slice_id: int, now: int
+    ) -> Tuple[int, Optional[CacheLine], int, int]:
+        """Read a line for a fill from its LLC slice, else working memory.
+
+        Returns (latency, llc_entry or None, data, oid).  A hit is
+        LRU-touched.  Versioned mode serves the working copy when it is
+        newer: the OMC may have refreshed it (tag-walker write-backs)
+        after the LLC copy was inserted.
+        """
+        array = self.llc[slice_id]
+        llc_set = array._sets[line % array._num_sets]
+        llc_entry = llc_set.get(line)
+        if llc_entry is None:
+            self._counters[self._llc_miss_key[slice_id]] += 1
+            data, oid = self.mem.read_line(line)
+            return self._working_read(line, now), None, data, oid
+        del llc_set[line]  # LRU touch (lookup(touch=True))
+        llc_set[line] = llc_entry
+        self._counters[self._llc_hit_key[slice_id]] += 1
+        data, oid = llc_entry.data, llc_entry.oid
+        if self.versioned:
+            mem_data, mem_oid = self.mem.read_line(line)
+            if mem_oid > oid:
+                data, oid = mem_data, mem_oid
+        return 0, llc_entry, data, oid
+
     def _inter_getx(
-        self, vd: VDState, line: int, now: int, dentry: Optional[DirEntry]
-    ) -> Tuple[int, int, int, bool]:
+        self,
+        vd: VDState,
+        line: int,
+        now: int,
+        dentry: Optional[DirEntry],
+        fetch: bool = True,
+    ) -> Tuple[int, Optional[int], int, bool]:
         """GETX at the directory; returns (latency, data, oid=RV, dirty).
 
         ``dentry`` is the line's directory entry as the caller already
-        fetched it, or None if the line has none.
+        fetched it, or None if the line has none.  Another VD that owns
+        the line always hands its version over.  Otherwise ``fetch``
+        reads the line from the LLC or working memory; an upgrading VD
+        that already holds the data passes False and gets data None.
         """
         slice_id = line % self._num_slices
-        if self.snoop:
-            latency = self.net.snoop_broadcast(self.config.num_vds)
-        else:
-            latency = self.net.vd_to_llc(vd.id, slice_id) + self._llc_latency
-        dir_key = self._llc_dir_access_key[slice_id]
-        try:
-            self._counters[dir_key] += 1
-        except KeyError:
-            self._inc(dir_key)
+        latency = self._request_latency(vd, slice_id)
+        self._counters[self._llc_dir_access_key[slice_id]] += 1
         if dentry is None:
             dentry = self._dir_lookup_or_create(line, now)
 
@@ -1128,34 +1004,30 @@ class Hierarchy:
         if dentry.owner is not None and dentry.owner != vd.id:
             owner = self.vds[dentry.owner]
             latency += self._forward_latency(vd, owner)
-            transfer = self._invalidate_owner_for_getx(owner, line, now + latency)
-            if transfer is not None:
-                # The owner's copy is authoritative even when clean: a
-                # tag-walker downgrade leaves the newest version in E
-                # state while LLC/DRAM copies may be older.
-                data, oid, dirty = transfer
-                latency += self.net.cache_to_cache(owner.id, vd.id)
-                if dirty and self.versioned:
-                    self.scheme.on_version_migrate(owner.id, vd.id, line, oid, now)
-                # The LLC's copy (if any) is now stale.
-                self.llc[slice_id].remove(line)
+            # The owner's copy is authoritative even when clean: a
+            # tag-walker downgrade leaves the newest version in E state
+            # while LLC/DRAM copies may be older.
+            data, oid, dirty = self._invalidate_owner_for_getx(
+                owner, line, now + latency
+            )
+            latency += self.net.cache_to_cache(owner.id, vd.id)
+            if dirty and self.versioned:
+                self.scheme.on_version_migrate(owner.id, vd.id, line, oid, now)
+            # The LLC's copy (if any) is now stale.
+            self.llc[slice_id].remove(line)
         if dentry.sharers:
             for sharer_id in sorted(dentry.sharers - {vd.id}):
                 latency += self._invalidate_vd(self.vds[sharer_id], line, now + latency)
 
         if data is None:
-            array = self.llc[slice_id]
-            llc_set = array._sets[line % array._num_sets]
-            llc_entry = llc_set.get(line)
+            if fetch:
+                read_latency, llc_entry, data, oid = self._fill_read(
+                    line, slice_id, now + latency
+                )
+                latency += read_latency
+            else:
+                llc_entry = self.llc[slice_id].probe(line)
             if llc_entry is not None:
-                del llc_set[line]  # LRU touch (lookup(touch=True))
-                llc_set[line] = llc_entry
-                hit_key = self._llc_hit_key[slice_id]
-                try:
-                    self._counters[hit_key] += 1
-                except KeyError:
-                    self._inc(hit_key)
-                data, oid = llc_entry.data, llc_entry.oid
                 # Exclusive ownership moves up and the LLC copy becomes
                 # stale.  A dirty copy's handling differs by mode: under
                 # CST the version was already persisted when it left its
@@ -1169,20 +1041,7 @@ class Hierarchy:
                         self._memory_update(line, llc_entry.data, llc_entry.oid)
                     else:
                         dirty = True
-                del llc_set[line]
-                if self.versioned:
-                    # The working copy may be newer (see _vd_fill's GETS).
-                    mem_data, mem_oid = self.mem.read_line(line)
-                    if mem_oid > oid:
-                        data, oid = mem_data, mem_oid
-            else:
-                miss_key = self._llc_miss_key[slice_id]
-                try:
-                    self._counters[miss_key] += 1
-                except KeyError:
-                    self._inc(miss_key)
-                data, oid = self.mem.read_line(line)
-                latency += self._working_read(line, now + latency)
+                self.llc[slice_id].remove(line)
 
         dentry.owner = vd.id
         dentry.sharers.clear()
@@ -1206,9 +1065,10 @@ class Hierarchy:
             oracle_hook("downgrade", owner.id, line, entry.oid, now)
         self._downgrade_vd_l1s(owner, line, now)
         if entry.state >= MESI.M:
-            self._inc("cst.load_downgrades" if self.versioned else "l2.downgrades")
+            key = "cst.load_downgrades" if self.versioned else "l2.downgrades"
+            self._counters[key] += 1
             if self.moesi:
-                self._inc("coh.owned_downgrades")
+                self._counters["coh.owned_downgrades"] += 1
                 entry.state = MESI.O
                 return entry.data, entry.oid
             if self.versioned:
@@ -1234,7 +1094,7 @@ class Hierarchy:
 
     def _invalidate_owner_for_getx(
         self, owner: VDState, line: int, now: int
-    ) -> Optional[Tuple[int, int, bool]]:
+    ) -> Tuple[int, int, bool]:
         """DIR-GETX at the owner (Fig. 6): cache-to-cache the newest version.
 
         Returns (data, oid, dirty).  The owner's copy is handed over even
@@ -1255,7 +1115,7 @@ class Hierarchy:
             oracle_hook("invalidate_owner", owner.id, line, entry.oid, now)
         self._invalidate_vd_l1s(owner, line, exclude_core=None, now=now)
         if entry.state >= MESI.M:
-            self._inc("coh.c2c_transfers")
+            self._counters["coh.c2c_transfers"] += 1
         transfer = (entry.data, entry.oid, entry.state >= MESI.M)
         owner.l2.remove(line)
         return transfer
@@ -1279,7 +1139,7 @@ class Hierarchy:
     def _epoch_sync(self, vd: VDState, rv: int, now: int) -> int:
         if not self.versioned or rv <= vd.cur_epoch:
             return 0
-        self._inc("epoch.coherence_syncs")
+        self._counters["epoch.coherence_syncs"] += 1
         batcher = self._epoch_batcher
         if batcher is None:
             return self.advance_epoch(vd, rv, now)
@@ -1289,7 +1149,7 @@ class Hierarchy:
         # syncs inside one transaction coalesce into a single batch.
         old = vd.cur_epoch
         if batcher.note_advance(vd.id, old):
-            self._inc("epoch.sync_batches")
+            self._counters["epoch.sync_batches"] += 1
         vd.cur_epoch = rv
         vd.store_count = 0
         oracle_hook = self._oracle_on_epoch
@@ -1334,33 +1194,6 @@ class Hierarchy:
         ]
         return min(dirty_oids) if dirty_oids else vd.cur_epoch
 
-    def walker_persist(self, vd: VDState, line: int, now: int) -> int:
-        """Tag-walker visit (§IV-C): persist a line's old dirty versions.
-
-        An L1 copy dirty in a previous epoch is first recalled into the L2
-        (downgrading the L1 to E); a dirty L2 version older than cur-epoch
-        is then written back to the OMC and downgraded M -> E.  Returns
-        the number of versions persisted.
-        """
-        persisted = 0
-        peer = self._find_l1_dirty_peer(vd, line, exclude_core=None)
-        if peer is not None:
-            l1_entry = self.l1s[peer].probe(line)
-            assert l1_entry is not None
-            if l1_entry.oid < vd.cur_epoch:
-                self._l2_putx(vd, line, l1_entry.data, l1_entry.oid, now)
-                l1_entry.state = MESI.E
-        entry = vd.l2.probe(line)
-        if entry is not None and entry.state >= MESI.M and entry.oid < vd.cur_epoch:
-            self._version_writeback(
-                vd, line, entry.data, entry.oid, REASON_TAG_WALK,
-                to_llc=False, now=now,
-            )
-            # O (dirty-shared) drops to S: other VDs hold copies.
-            entry.state = MESI.S if entry.state == MESI.O else MESI.E
-            persisted += 1
-        return persisted
-
     def walker_count_sets(self, vd: VDState, start: int, end: int) -> None:
         """Tag-walker scans of sets ``start``..``end - 1`` in epoch 1.
 
@@ -1370,99 +1203,51 @@ class Hierarchy:
         """
         assert vd.cur_epoch == 1
         counters = self._counters
-        try:
-            counters["walker.sets_scanned"] += end - start
-        except KeyError:
-            self._inc("walker.sets_scanned", end - start)
+        counters["walker.sets_scanned"] += end - start
         tags = sum(map(len, vd.l2._sets[start:end]))
         if tags:
-            try:
-                counters["walker.tags_scanned"] += tags
-            except KeyError:
-                self._inc("walker.tags_scanned", tags)
+            counters["walker.tags_scanned"] += tags
 
     def walker_scan_set(self, vd: VDState, set_index: int, now: int) -> None:
-        """One tag-walker set scan: ``walker_persist`` fused over a set.
+        """Tag-walker visit of one L2 set (§IV-C): persist old versions.
 
-        Behaviorally identical to calling :meth:`walker_persist` per
-        resident tag (with the walker's per-tag counter bump), but the
-        peer probe and the L2 entry re-check run inline on the held
-        entry objects instead of re-resolving the line each time.
+        For each resident tag, the first dirty L1 copy in core order, if
+        dirty in a previous epoch, is recalled into the L2 (leaving the
+        L1 in E); a dirty L2 version older than cur-epoch is then written
+        back to the OMC and downgraded M -> E (O -> S).
         """
         counters = self._counters
-        try:
-            counters["walker.sets_scanned"] += 1
-        except KeyError:
-            self._inc("walker.sets_scanned")
+        counters["walker.sets_scanned"] += 1
         l2_set = vd.l2._sets[set_index]
         if not l2_set:
             return
         entries = list(l2_set.values())
         # Bulk tag-counter bump: no observation point (stats dump or
         # fault-injection hook) can fire inside a single set scan.
-        try:
-            counters["walker.tags_scanned"] += len(entries)
-        except KeyError:
-            self._inc("walker.tags_scanned", len(entries))
+        counters["walker.tags_scanned"] += len(entries)
+        # The first dirty L1 peer of each line, gathered once per L1 set
+        # the scan touches (one set whenever the L2 set count is a
+        # multiple of the L1's).  Nothing reachable from the scan dirties
+        # an L1 line, so the gather sees what per-tag probes would.
         l1_sets = self._vd_l1_sets[vd.id]
         l1_num_sets = self._l1_num_sets
+        dirty_floor = MESI.M
+        peers: Dict[int, CacheLine] = {}
+        for l1_index in {entry.line % l1_num_sets for entry in entries}:
+            for sets in l1_sets:
+                for peer_line, peer in sets[l1_index].items():
+                    if peer.state >= dirty_floor and peer_line not in peers:
+                        peers[peer_line] = peer
         # cur_epoch cannot advance mid-scan: nothing reachable from the
         # scan runs the epoch-advance protocol.
         cur_epoch = vd.cur_epoch
-        dirty_floor = MESI.M
-        if self._l2_num_sets % l1_num_sets == 0:
-            # Every line of this L2 set maps to the same L1 set, so the
-            # dirty L1 peers (first in core order, the walker_persist
-            # rule) can be gathered once instead of probed per tag.
-            # Nothing reachable from the scan dirties an L1 line, so the
-            # up-front gather sees the same peers the per-tag probes did.
-            l1_index = set_index % l1_num_sets
-            peers: Optional[Dict[int, CacheLine]] = None
-            for sets in l1_sets:
-                for peer_line, peer in sets[l1_index].items():
-                    if peer.state >= dirty_floor and (
-                        peers is None or peer_line not in peers
-                    ):
-                        if peers is None:
-                            peers = {}
-                        peers[peer_line] = peer
-            if peers is None:
-                for entry in entries:
-                    if entry.state >= dirty_floor and entry.oid < cur_epoch:
-                        self._version_writeback(
-                            vd, entry.line, entry.data, entry.oid,
-                            REASON_TAG_WALK, to_llc=False, now=now,
-                        )
-                        entry.state = MESI.S if entry.state == MESI.O else MESI.E
-                return
-            for entry in entries:
-                line = entry.line
-                peer = peers.get(line)
-                if peer is not None and peer.oid < cur_epoch:
-                    # _l2_putx mutates this same L2 entry in place (and
-                    # LRU-touches it), exactly as the unfused path did
-                    # before its re-lookup.
-                    self._l2_putx(vd, line, peer.data, peer.oid, now)
-                    peer.state = MESI.E
-                if entry.state >= dirty_floor and entry.oid < cur_epoch:
-                    self._version_writeback(
-                        vd, line, entry.data, entry.oid, REASON_TAG_WALK,
-                        to_llc=False, now=now,
-                    )
-                    # O (dirty-shared) drops to S: other VDs hold copies.
-                    entry.state = MESI.S if entry.state == MESI.O else MESI.E
-            return
         for entry in entries:
             line = entry.line
-            l1_index = line % l1_num_sets
-            # First dirty L1 peer, in core order (walker_persist rule).
-            for sets in l1_sets:
-                peer = sets[l1_index].get(line)
-                if peer is not None and peer.state >= dirty_floor:
-                    if peer.oid < cur_epoch:
-                        self._l2_putx(vd, line, peer.data, peer.oid, now)
-                        peer.state = MESI.E
-                    break
+            peer = peers.get(line)
+            if peer is not None and peer.oid < cur_epoch:
+                # _l2_putx mutates this same L2 entry in place.
+                self._l2_putx(vd, line, peer.data, peer.oid, now)
+                peer.state = MESI.E
             if entry.state >= dirty_floor and entry.oid < cur_epoch:
                 self._version_writeback(
                     vd, line, entry.data, entry.oid, REASON_TAG_WALK,

@@ -10,15 +10,14 @@ cache-to-cache transfer saves the hop back through the directory —
 exactly the latency advantage §IV-A3 claims for the dirty-invalidation
 optimization.
 
-With ``num_sockets > 1`` VDs and LLC slices are distributed round-robin
-across sockets and every hop crossing a socket boundary pays
-``socket_hop_penalty`` extra hops, which is how the scalability sweeps
-model multi-socket machines.
+With ``num_sockets > 1`` VDs and LLC slices are split into contiguous
+equal blocks, one block per socket (socket 0 holds VDs
+``0 .. num_vds/num_sockets - 1``, and likewise for slices), and every
+hop crossing a socket boundary pays ``socket_hop_penalty`` extra hops,
+which is how the scalability sweeps model multi-socket machines.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .config import SystemConfig
 from .stats import Stats
@@ -29,88 +28,60 @@ class Interconnect:
 
     def __init__(self, config: SystemConfig, stats: Stats) -> None:
         self.hop = config.interconnect_hop_latency
-        self.stats = stats
         # Direct ref into the counter dict: message-count bumps are on the
         # per-miss path.  Safe because Stats.reset() clears it in place.
         self._counters = stats._counters
-        self._inc = stats.inc
-        self.num_sockets = config.num_sockets
         self.penalty = config.socket_hop_penalty * self.hop
-        self._vds_per_socket = max(1, config.num_vds // config.num_sockets)
-        self._slices_per_socket = max(1, config.llc_slices // config.num_sockets)
-
-    # -- topology --------------------------------------------------------
-    def socket_of_vd(self, vd_id: int) -> int:
-        return (vd_id // self._vds_per_socket) % self.num_sockets
-
-    def socket_of_slice(self, slice_id: int) -> int:
-        return (slice_id // self._slices_per_socket) % self.num_sockets
+        # The socket of every VD and slice, resolved once: contiguous
+        # equal blocks per socket.
+        sockets = config.num_sockets
+        vds_per_socket = max(1, config.num_vds // sockets)
+        slices_per_socket = max(1, config.llc_slices // sockets)
+        self._vd_socket = [
+            (vd // vds_per_socket) % sockets for vd in range(config.num_vds)
+        ]
+        self._slice_socket = [
+            (s // slices_per_socket) % sockets for s in range(config.llc_slices)
+        ]
 
     def _cross(self, socket_a: int, socket_b: int) -> int:
-        if self.num_sockets > 1 and socket_a != socket_b:
-            try:
-                self._counters["net.cross_socket_msgs"] += 1
-            except KeyError:
-                self._inc("net.cross_socket_msgs")
-            return self.penalty
-        return 0
+        """Extra latency of a hop between two sockets (0 within one)."""
+        if socket_a == socket_b:
+            return 0
+        self._counters["net.cross_socket_msgs"] += 1
+        return self.penalty
 
     # -- message costs ------------------------------------------------------
-    def vd_to_llc(self, vd_id: Optional[int] = None, slice_id: Optional[int] = None) -> int:
-        try:
-            self._counters["net.vd_llc_msgs"] += 1
-        except KeyError:
-            self._inc("net.vd_llc_msgs")
-        latency = self.hop
-        if vd_id is not None and slice_id is not None:
-            latency += self._cross(self.socket_of_vd(vd_id), self.socket_of_slice(slice_id))
-        return latency
+    def vd_to_llc(self, vd_id: int, slice_id: int) -> int:
+        self._counters["net.vd_llc_msgs"] += 1
+        return self.hop + self._cross(
+            self._vd_socket[vd_id], self._slice_socket[slice_id]
+        )
 
-    def llc_to_vd(self, slice_id: Optional[int] = None, vd_id: Optional[int] = None) -> int:
-        try:
-            self._counters["net.llc_vd_msgs"] += 1
-        except KeyError:
-            self._inc("net.llc_vd_msgs")
-        latency = self.hop
-        if vd_id is not None and slice_id is not None:
-            latency += self._cross(self.socket_of_slice(slice_id), self.socket_of_vd(vd_id))
-        return latency
+    def llc_to_vd(self, slice_id: int, vd_id: int) -> int:
+        self._counters["net.llc_vd_msgs"] += 1
+        return self.hop + self._cross(
+            self._slice_socket[slice_id], self._vd_socket[vd_id]
+        )
 
-    def vd_to_vd_via_directory(
-        self, from_vd: Optional[int] = None, to_vd: Optional[int] = None
-    ) -> int:
+    def vd_to_vd_via_directory(self, from_vd: int, to_vd: int) -> int:
         """Request forwarded through the LLC directory to a peer VD."""
-        try:
-            self._counters["net.forwarded_msgs"] += 1
-        except KeyError:
-            self._inc("net.forwarded_msgs")
-        latency = 2 * self.hop
-        if from_vd is not None and to_vd is not None:
-            latency += self._cross(self.socket_of_vd(from_vd), self.socket_of_vd(to_vd))
-        return latency
+        self._counters["net.forwarded_msgs"] += 1
+        vd_socket = self._vd_socket
+        return 2 * self.hop + self._cross(vd_socket[from_vd], vd_socket[to_vd])
 
-    def cache_to_cache(
-        self, from_vd: Optional[int] = None, to_vd: Optional[int] = None
-    ) -> int:
+    def cache_to_cache(self, from_vd: int, to_vd: int) -> int:
         """Direct point-to-point transfer between peer caches."""
-        try:
-            self._counters["net.c2c_msgs"] += 1
-        except KeyError:
-            self._inc("net.c2c_msgs")
-        latency = self.hop
-        if from_vd is not None and to_vd is not None:
-            latency += self._cross(self.socket_of_vd(from_vd), self.socket_of_vd(to_vd))
-        return latency
+        self._counters["net.c2c_msgs"] += 1
+        vd_socket = self._vd_socket
+        return self.hop + self._cross(vd_socket[from_vd], vd_socket[to_vd])
 
-    def vd_to_omc(self, vd_id: Optional[int] = None) -> int:
+    def vd_to_omc(self) -> int:
         """LLC-bypass path used for version write-backs (§IV-A2)."""
-        try:
-            self._counters["net.omc_msgs"] += 1
-        except KeyError:
-            self._inc("net.omc_msgs")
+        self._counters["net.omc_msgs"] += 1
         return self.hop
 
-    def epoch_sync_notify(self, vd_id: Optional[int] = None) -> int:
+    def epoch_sync_notify(self) -> int:
         """Batched epoch-advance announcement (VD -> master OMC).
 
         With per-store synchronization the advance piggybacks on the
@@ -119,10 +90,7 @@ class Interconnect:
         with one explicit notification per transaction boundary, which
         is the message this models.
         """
-        try:
-            self._counters["net.epoch_sync_msgs"] += 1
-        except KeyError:
-            self._inc("net.epoch_sync_msgs")
+        self._counters["net.epoch_sync_msgs"] += 1
         return self.hop
 
     def snoop_broadcast(self, num_vds: int) -> int:
@@ -132,6 +100,7 @@ class Interconnect:
         makes broadcast coherence stop scaling (§II-D's motivation for
         the distributed directory this simulator defaults to).
         """
-        self.stats.inc("net.snoop_broadcasts")
-        self.stats.inc("net.snoop_msgs", max(num_vds - 1, 0))
+        counters = self._counters
+        counters["net.snoop_broadcasts"] += 1
+        counters["net.snoop_msgs"] += max(num_vds - 1, 0)
         return 2 * self.hop + (num_vds * self.hop) // 8

@@ -73,12 +73,26 @@ class TestInterconnect:
     def test_hop_costs(self):
         stats = Stats()
         net = Interconnect(SystemConfig(), stats)
-        assert net.vd_to_llc() == net.hop
-        assert net.vd_to_vd_via_directory() == 2 * net.hop
-        assert net.cache_to_cache() == net.hop
+        assert net.vd_to_llc(0, 0) == net.hop
+        assert net.llc_to_vd(0, 0) == net.hop
+        assert net.vd_to_vd_via_directory(0, 1) == 2 * net.hop
+        assert net.cache_to_cache(0, 1) == net.hop
         assert net.vd_to_omc() == net.hop
         assert stats.get("net.vd_llc_msgs") == 1
         assert stats.get("net.forwarded_msgs") == 1
+        assert stats.get("net.cross_socket_msgs") == 0
+
+    def test_cross_socket_penalty_uses_contiguous_blocks(self):
+        stats = Stats()
+        config = SystemConfig.scaled(32, num_sockets=2)  # 16 VDs, 8 slices
+        net = Interconnect(config, stats)
+        # VDs 0-7 and slices 0-3 sit on socket 0; the rest on socket 1.
+        assert net.vd_to_llc(7, 3) == net.hop
+        assert net.vd_to_llc(8, 3) == net.hop + net.penalty
+        assert net.llc_to_vd(4, 8) == net.hop
+        assert net.vd_to_vd_via_directory(1, 9) == 2 * net.hop + net.penalty
+        assert net.cache_to_cache(9, 15) == net.hop
+        assert stats.get("net.cross_socket_msgs") == 2
 
     def test_omc_traffic_counted_only_when_versioned(self):
         from repro.core import NVOverlay

@@ -150,7 +150,7 @@ class TestEpochSynchronization:
 
 
 class TestWalkerEntryPoints:
-    def test_walker_persist_downgrades_old_dirty(self):
+    def test_walker_scan_set_downgrades_old_dirty(self):
         scheme = NVOverlay(NVOverlayParams(num_omcs=1, enable_tag_walker=False))
         machine = Machine(tiny_config(), scheme=scheme)
         hierarchy = machine.hierarchy
@@ -163,7 +163,8 @@ class TestWalkerEntryPoints:
             def transactions(self, tid):
                 yield [store(ADDR)]
                 hierarchy.advance_epoch(vd, 5, 0)
-                observed["persisted"] = hierarchy.walker_persist(vd, LINE, 0)
+                hierarchy.walker_scan_set(vd, LINE % vd.l2.geometry.num_sets, 0)
+                observed["persisted"] = machine.stats.get("evict_reason.tag_walk")
                 observed["l1_state"] = hierarchy.l1s[0].lookup(LINE, touch=False).state
                 observed["l2_state"] = vd.l2.lookup(LINE, touch=False).state
 
@@ -173,19 +174,24 @@ class TestWalkerEntryPoints:
         assert observed["l1_state"] == MESI.E
         assert observed["l2_state"] == MESI.E
 
-    def test_walker_persist_skips_current_epoch(self):
+    def test_walker_scan_set_skips_current_epoch(self):
         scheme = NVOverlay(NVOverlayParams(num_omcs=1, enable_tag_walker=False))
         machine = Machine(tiny_config(), scheme=scheme)
         hierarchy = machine.hierarchy
+        vd = hierarchy.vds[0]
+        observed = {}
 
         class W:
             num_threads = 1
 
             def transactions(self, tid):
                 yield [store(ADDR)]
+                hierarchy.walker_scan_set(vd, LINE % vd.l2.geometry.num_sets, 0)
+                observed["l1_state"] = hierarchy.l1s[0].lookup(LINE, touch=False).state
 
         machine.run(W())
-        assert hierarchy.walker_persist(hierarchy.vds[0], LINE, 0) == 0
+        assert machine.stats.get("evict_reason.tag_walk") == 0
+        assert observed["l1_state"] == MESI.M
 
     def test_min_dirty_oid_counts_shadowed_l2_version(self):
         """A newer L1 version must not hide an older dirty L2 version."""
