@@ -24,12 +24,14 @@ Commands:
 * ``bench``       — time the simulator itself; track ``BENCH_sim_throughput.json``
 
 The simulating commands (``run``/``bench``/``scaling``/``crash-sweep``/
-``load``/``serve``) share one option surface: ``--jobs N`` (process-pool fan-out),
-``--no-cache`` (bypass the on-disk result cache under
-``$REPRO_CACHE_DIR`` / ``~/.cache/repro``), ``--oracle`` (arm the
-protocol invariant oracle) and ``--json`` (machine-readable JSON on
-stdout instead of tables).  Per-cell progress streams to stderr;
-rendered tables go to stdout.
+``load``/``serve``) all take ``--oracle`` (arm the protocol invariant
+oracle) and ``--json`` (machine-readable JSON on stdout instead of
+tables).  All but ``bench``, which times the simulator itself, also
+take ``--no-cache`` (bypass the on-disk result cache under
+``$REPRO_CACHE_DIR`` / ``~/.cache/repro``), and all but ``run`` and
+``bench``, which simulate serially, take ``--jobs N`` (process-pool
+fan-out).  Per-cell progress streams to stderr; rendered tables go to
+stdout.
 
 Examples::
 
@@ -176,9 +178,6 @@ def _render_fig17(args, opts) -> str:
 def _cmd_run(args) -> int:
     spec = RunSpec(workload=args.workload, scheme=args.scheme,
                    scale=args.scale, seed=args.seed, oracle=args.oracle)
-    if args.jobs and args.jobs > 1:
-        print("note: run simulates a single cell; --jobs has nothing to "
-              "fan out", file=sys.stderr)
     cache = None if args.no_cache else RunCache()
     record = run_one(spec, cache=cache)
     if args.json:
@@ -412,8 +411,18 @@ def _cmd_bench(args) -> int:
 
     from .harness import bench
 
-    if args.threshold is None:
-        args.threshold = bench.REGRESSION_THRESHOLD
+    if args.check and args.repeats < bench.MIN_SAMPLES:
+        print(f"error: --check needs --repeats >= {bench.MIN_SAMPLES} (the "
+              f"detectors judge that many samples per side); got "
+              f"{args.repeats}", file=sys.stderr)
+        return 2
+    path = (Path(args.trajectory) if args.trajectory
+            else bench.default_trajectory_path())
+    try:
+        trajectory = bench.load_trajectory(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     names = args.scenarios.split(",") if args.scenarios else None
     calibration = bench.host_calibration()
     try:
@@ -423,16 +432,8 @@ def _cmd_bench(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.jobs and args.jobs > 1:
-        print("note: bench times the simulator serially by design; "
-              "--jobs is accepted for CLI uniformity only", file=sys.stderr)
     rows = {
-        name: {
-            "ops_per_sec": r.ops_per_sec,
-            "seconds": r.seconds,
-            "per_op_us_p50": r.per_op_us_p50,
-            "per_op_us_p95": r.per_op_us_p95,
-        }
+        name: {"ops_per_sec": r.ops_per_sec, "seconds": r.seconds}
         for name, r in results.items()
     }
     if args.json:
@@ -443,9 +444,7 @@ def _cmd_bench(args) -> int:
             " [oracle armed]" if args.oracle else ""
         )
         print(report.format_table(
-            "simulator throughput" + suffix,
-            ["ops_per_sec", "seconds", "per_op_us_p50", "per_op_us_p95"],
-            rows,
+            "simulator throughput" + suffix, ["ops_per_sec", "seconds"], rows,
         ))
 
     if args.oracle:
@@ -463,88 +462,8 @@ def _cmd_bench(args) -> int:
                             label=args.label, quick=args.quick,
                             calibration=calibration, commit=commit)
         print(f"profile written to {args.profile_out}", file=sys.stderr)
-    path = (Path(args.trajectory) if args.trajectory
-            else bench.default_trajectory_path())
-    baseline = bench.baseline_entry(bench.load_trajectory(path),
-                                    quick=args.quick)
-    status = 0
-    if args.check:
-        detectors = args.detectors.split(",") if args.detectors else None
-        try:
-            bench.resolve_detectors(detectors)  # validate names up front
-            checks = bench.check_results(
-                results, baseline, calibration=calibration,
-                detectors=detectors, threshold=args.threshold)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        base_cal = baseline.get("host_calibration") if baseline else None
-        cal_note = (
-            f"host calibration {calibration / base_cal:.2f}x baseline"
-            if base_cal else
-            f"host calibration {calibration:.3f}s (no baseline value)"
-        )
-        if baseline is None:
-            if args.allow_missing_baseline:
-                print(f"regression gate: skipped (no baseline for env "
-                      f"{bench.env_id()!r} in {path}; "
-                      f"--allow-missing-baseline)", file=sys.stderr)
-            else:
-                print(
-                    f"error: regression gate: no baseline entry for env "
-                    f"{bench.env_id()!r} in {path} — nothing to gate "
-                    f"against.\nRecord one first (run without --check, or "
-                    f"commit a trajectory entry for this environment), or "
-                    f"pass --allow-missing-baseline to skip the gate.",
-                    file=sys.stderr,
-                )
-                status = 1
-        else:
-            failures = [n for n, c in checks.items() if c.regressed]
-            fallbacks = [n for n, c in checks.items() if c.fallback]
-            for name in failures:
-                outcome = checks[name]
-                print(
-                    f"REGRESSION {name}: median "
-                    f"{outcome.median_ratio:.2f}x baseline "
-                    f"({outcome.detail})",
-                    file=sys.stderr,
-                )
-                for verdict in outcome.verdicts:
-                    print(f"  {verdict.detector}: {verdict.detail}",
-                          file=sys.stderr)
-            if failures:
-                print(f"{cal_note} — the detectors already normalized by "
-                      f"this, so the drop is not host speed",
-                      file=sys.stderr)
-                status = 1
-            else:
-                worst = min(checks, key=lambda n: checks[n].median_ratio) \
-                    if checks else None
-                detail = (
-                    f"worst median ratio {checks[worst].median_ratio:.2f}x "
-                    f"on {worst!r}; {cal_note}" if worst is not None
-                    else "no overlapping scenarios to compare"
-                )
-                print(
-                    f"regression gate: OK vs {baseline['label']!r} "
-                    f"({detail}).",
-                    file=sys.stderr,
-                )
-                if fallbacks:
-                    print(
-                        f"note: {len(fallbacks)} scenario(s) judged by the "
-                        f"legacy {args.threshold:.0%} threshold — too few "
-                        f"stored samples for the statistical detectors; "
-                        f"re-record the baseline with --repeats >= 5.",
-                        file=sys.stderr,
-                    )
-                print(
-                    f"A flagged drop can be attributed with "
-                    f"`repro bench bisect --scenario NAME` "
-                    f"(docs/api.md, 'Simulator throughput').",
-                    file=sys.stderr,
-                )
+    status = _bench_gate(trajectory, path, results, calibration,
+                         args.quick) if args.check else 0
     if not args.no_update:
         bench.append_entry(path, results, label=args.label, quick=args.quick,
                            calibration=calibration, commit=commit)
@@ -552,31 +471,74 @@ def _cmd_bench(args) -> int:
     return status
 
 
+def _bench_gate(trajectory, path, results, calibration, quick) -> int:
+    """``bench --check``: judge ``results`` against this env's baseline."""
+    from .harness import bench
+
+    baseline = bench.baseline_entry(trajectory, quick=quick)
+    if baseline is None:
+        print(
+            f"error: regression gate: no baseline entry for env "
+            f"{bench.env_id()!r} in {path} — nothing to gate against.\n"
+            f"Record one first (run without --check, or commit a "
+            f"trajectory entry for this environment).",
+            file=sys.stderr,
+        )
+        return 1
+    checks = bench.check_results(results, baseline, calibration=calibration)
+    base_cal = baseline.get("host_calibration")
+    cal_note = (
+        f"host calibration {calibration / base_cal:.2f}x baseline"
+        if base_cal else
+        f"host calibration {calibration:.3f}s (no baseline value)"
+    )
+    regressed = [n for n, c in checks.items() if c.regressed]
+    for name in regressed:
+        outcome = checks[name]
+        print(f"REGRESSION {name}: median {outcome.median_ratio:.2f}x "
+              f"baseline ({outcome.detail})", file=sys.stderr)
+        for verdict in outcome.verdicts:
+            print(f"  {verdict.detector}: {verdict.detail}", file=sys.stderr)
+    if regressed:
+        print(f"{cal_note} — the detectors already normalized by this, so "
+              f"the drop is not host speed", file=sys.stderr)
+    starved = [n for n, c in checks.items() if c.insufficient]
+    for name in starved:
+        print(f"INSUFFICIENT {name}: baseline {baseline['label']!r} "
+              f"{checks[name].detail}; re-record it with --repeats >= "
+              f"{bench.MIN_SAMPLES}", file=sys.stderr)
+    if regressed or starved:
+        return 1
+    worst = min(checks, key=lambda n: checks[n].median_ratio) \
+        if checks else None
+    detail = (
+        f"worst median ratio {checks[worst].median_ratio:.2f}x on "
+        f"{worst!r}; {cal_note}" if worst is not None
+        else "no overlapping scenarios to compare"
+    )
+    print(f"regression gate: OK vs {baseline['label']!r} ({detail}).",
+          file=sys.stderr)
+    print("A flagged drop can be attributed with "
+          "`repro bench bisect --scenario NAME` "
+          "(docs/api.md, 'Simulator throughput').", file=sys.stderr)
+    return 0
+
+
 def _cmd_bench_bisect(args) -> int:
     from pathlib import Path
 
     from .harness import bench
 
-    if args.threshold is None:
-        args.threshold = bench.REGRESSION_THRESHOLD
     path = (Path(args.trajectory) if args.trajectory
             else bench.default_trajectory_path())
-    data = bench.load_trajectory(path)
-    env = args.env or bench.env_id()
-    detectors = args.detectors.split(",") if args.detectors else None
-    quick = None if args.any_mode else bool(args.quick)
-    recollect = None
-    if args.recollect:
-        recollect = bench.bisect.make_git_recollect_hook(
-            quick=bool(args.quick), repeats=args.recollect_repeats)
     try:
-        report_obj = bench.bisect_trajectory(
-            data, args.scenario, env=env, quick=quick,
-            detectors=detectors, threshold=args.threshold,
-            recollect=recollect)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+        data = bench.load_trajectory(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    env = args.env or bench.env_id()
+    report_obj = bench.bisect_trajectory(data, args.scenario, env=env,
+                                         quick=args.quick)
     if args.json:
         _emit_json(report_obj.to_dict())
     else:
@@ -587,6 +549,9 @@ def _cmd_bench_bisect(args) -> int:
             print(f"  probe entry {step.index:3d} [{mark}] {ref} "
                   f"(median {step.check.median_ratio:.3f}x, "
                   f"{step.check.detail})")
+        if report_obj.skipped:
+            print(f"  skipped entries {report_obj.skipped}: fewer than "
+                  f"{bench.MIN_SAMPLES} samples")
         print(f"verdict: {report_obj.status} — {report_obj.detail}")
     if report_obj.status == "insufficient":
         return 1
@@ -832,9 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the on-disk result cache")
 
     def unified_opts(p, oracle_help="arm the protocol invariant oracle "
-                                    "(repro.oracle)"):
-        """The one option surface every simulating command exposes."""
-        parallel_opts(p)
+                                    "(repro.oracle)", jobs=True, cache=True):
+        """The options the simulating commands share (see module doc)."""
+        if cache:
+            parallel_opts(p, with_jobs=jobs)
         p.add_argument("--oracle", action="store_true", help=oracle_help)
         p.add_argument("--json", action="store_true",
                        help="machine-readable JSON on stdout instead of "
@@ -842,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one workload under one scheme")
     common(p_run, with_scheme=True)
-    unified_opts(p_run)
+    unified_opts(p_run, jobs=False)
     p_run.set_defaults(func=_cmd_run)
 
     p_compare = sub.add_parser("compare", help="run every scheme on a workload")
@@ -1018,8 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scale scenarios down ~5x (CI smoke mode)")
     p_bench.add_argument("--scenarios", default=None,
                          help="comma-separated scenario subset")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed repeats per scenario; best is kept")
+    p_bench.add_argument("--repeats", type=int, default=5,
+                         help="timed repeats per scenario (default 5, the "
+                              "fewest --check accepts); best is reported")
     p_bench.add_argument("--profile", type=int, default=0, metavar="N",
                          help="also cProfile each scenario; print top N frames")
     p_bench.add_argument("--trajectory", default=None, metavar="PATH",
@@ -1033,17 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fail on ops/sec regression vs the last entry "
                               "for this environment (also fails when no "
                               "baseline exists for it)")
-    p_bench.add_argument("--allow-missing-baseline", action="store_true",
-                         help="with --check: skip the gate instead of "
-                              "failing when this environment has no "
-                              "baseline entry yet")
-    p_bench.add_argument("--threshold", type=float, default=None,
-                         help="regression threshold as a fraction "
-                              "(default 0.20)")
-    p_bench.add_argument("--detectors", default=None, metavar="NAMES",
-                         help="comma-separated detector subset for --check "
-                              "(default: all registered; see "
-                              "repro.harness.bench.check.DETECTORS)")
     p_bench.add_argument("--profile-out", default=None, metavar="PATH",
                          help="also write this run's full per-repeat sample "
                               "profile (schema-v2 document) to PATH — even "
@@ -1051,7 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "their raw data")
     unified_opts(p_bench, oracle_help="arm the invariant oracle inside the "
                                       "timed region (measures checking "
-                                      "overhead; never recorded or gated)")
+                                      "overhead; never recorded or gated)",
+                 cache=False)
     p_bench.set_defaults(func=_cmd_bench)
 
     bench_sub = p_bench.add_subparsers(dest="bench_cmd", metavar="subcommand")
@@ -1068,23 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bisect.add_argument("--quick", action="store_true",
                           help="walk quick-mode entries (default: full-mode; "
                                "the two are never comparable)")
-    p_bisect.add_argument("--any-mode", action="store_true",
-                          help="ignore the quick flag when selecting entries")
     p_bisect.add_argument("--trajectory", default=None, metavar="PATH",
                           help="trajectory or profile file (default: "
                                "repo-root BENCH_sim_throughput.json)")
-    p_bisect.add_argument("--detectors", default=None, metavar="NAMES",
-                          help="comma-separated detector subset")
-    p_bisect.add_argument("--threshold", type=float, default=None,
-                          help="legacy fallback threshold for sample-starved "
-                               "entries (default 0.20)")
-    p_bisect.add_argument("--recollect", action="store_true",
-                          help="re-collect samples at entries' recorded "
-                               "commits via git worktrees when an entry "
-                               "lacks them (slow; needs a clean git repo)")
-    p_bisect.add_argument("--recollect-repeats", type=int, default=5,
-                          help="repeats per re-collected entry "
-                               "(default 5, enough for the detectors)")
     p_bisect.add_argument("--json", action="store_true",
                           help="emit the machine-readable BisectReport")
     p_bisect.set_defaults(func=_cmd_bench_bisect)

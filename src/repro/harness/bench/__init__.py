@@ -4,60 +4,47 @@ The value of this reproduction is *experiments per hour*: every figure,
 sweep and crash-sweep funnels through the per-memory-op loop in
 ``repro.sim.hierarchy``, so simulator throughput — not the harness —
 bounds cold-cache wall clock.  This package measures it, records it,
-and guards it, as four pluggable stages:
+and guards it, in four stages:
 
 * :mod:`.collect` — run the timed scenarios (:data:`SCENARIOS`) and
   record **all** repeat samples plus the host-calibration
   microbenchmark, not just best-of-N; also the golden-parity
   :func:`run_fingerprint`.
-* :mod:`.store` — versioned per-scenario profiles in
-  ``BENCH_sim_throughput.json`` (schema v2: sample distributions per
-  entry; v1 scalar entries migrate losslessly on load) plus standalone
-  ``--profile-out`` documents.
-* :mod:`.check` — a registry of pure, stdlib-only statistical
-  detectors (Mann-Whitney U rank test, seeded bootstrap CI on the
-  median ratio) that normalize by the host-calibration ratio before
-  judging; the legacy scalar threshold survives as the fallback for
-  sample-starved entries.
+* :mod:`.store` — per-scenario profiles in ``BENCH_sim_throughput.json``
+  (schema 2: sample distributions per entry; any other schema is
+  refused) plus standalone ``--profile-out`` documents.
+* :mod:`.check` — the one judging path: two pure, stdlib-only
+  statistical detectors (Mann-Whitney U rank test, seeded bootstrap CI
+  on the median ratio), both run on every scenario after normalizing by
+  the host-calibration ratio; fewer than :data:`MIN_SAMPLES` samples on
+  a side fails as insufficient instead of being judged.
 * :mod:`.bisect` — ``repro bench bisect``: walk the recorded entries
-  (optionally re-collecting through a pluggable hook) to attribute a
-  regression to the narrowest entry/commit range.
+  through that same path to attribute a regression to the narrowest
+  entry/commit range.
 
 ``ops`` counts line-granular memory operations executed by the
 hierarchy (the ``l1.accesses`` counter), and the timed region includes
 lazy trace generation — that is the real cost of an experiment.
-
-Everything importable from the old ``repro.harness.bench`` module is
-re-exported here unchanged.
 """
 
 from . import bisect, check, collect, store
-from .bisect import (
-    BisectReport,
-    BisectStep,
-    bisect_trajectory,
-    make_git_recollect_hook,
-)
+from .bisect import BisectReport, BisectStep, bisect_trajectory
 from .check import (
     ALPHA,
     BOOTSTRAP_CONFIDENCE,
     BOOTSTRAP_RESAMPLES,
     BOOTSTRAP_SEED,
-    DETECTORS,
     MIN_EFFECT,
-    REGRESSION_THRESHOLD,
-    Detector,
+    MIN_SAMPLES,
     DetectorVerdict,
     ScenarioCheck,
+    bootstrap_median,
     calibration_ratio,
     check_entry_pair,
-    check_regression,
     check_results,
     compare_samples,
-    detector_names,
+    mann_whitney,
     normalize_samples,
-    register_detector,
-    resolve_detectors,
 )
 from .collect import (
     CALIBRATION_ROUNDS,
@@ -80,7 +67,6 @@ from .store import (
     env_id,
     load_trajectory,
     make_entry,
-    migrate_trajectory,
     write_profile,
 )
 
@@ -94,11 +80,9 @@ __all__ = [
     "BisectReport",
     "BisectStep",
     "CALIBRATION_ROUNDS",
-    "DETECTORS",
-    "Detector",
     "DetectorVerdict",
     "MIN_EFFECT",
-    "REGRESSION_THRESHOLD",
+    "MIN_SAMPLES",
     "SCENARIOS",
     "ScenarioCheck",
     "TRAJECTORY_FILENAME",
@@ -107,26 +91,22 @@ __all__ = [
     "baseline_entry",
     "bisect",
     "bisect_trajectory",
+    "bootstrap_median",
     "calibration_ratio",
     "check",
     "check_entry_pair",
-    "check_regression",
     "check_results",
     "collect",
     "compare_samples",
     "current_commit",
     "default_trajectory_path",
-    "detector_names",
     "entry_samples",
     "env_id",
     "host_calibration",
     "load_trajectory",
     "make_entry",
-    "make_git_recollect_hook",
-    "migrate_trajectory",
+    "mann_whitney",
     "normalize_samples",
-    "register_detector",
-    "resolve_detectors",
     "run_bench",
     "run_fingerprint",
     "run_scenario",

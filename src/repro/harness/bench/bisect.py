@@ -1,18 +1,16 @@
 """Bisect stage: attribute a flagged regression to an entry/commit range.
 
 Given a trajectory whose newest entry regresses against its oldest
-comparable entry, walk the recorded history with the same detectors the
-gate uses and find the narrowest adjacent pair (last good entry, first
-bad entry) where the slowdown appears.  Every comparison is
+comparable entry, walk the recorded history with the same judging path
+the gate uses and find the narrowest adjacent pair (last good entry,
+first bad entry) where the slowdown appears.  Every comparison is
 calibration-normalized entry-to-entry, so a host change mid-history
 does not masquerade as a code regression.
 
-Entries that never recorded samples for the scenario can be refreshed
-through a pluggable *re-collection hook* (``store.RecollectHook``):
-called with ``(entry, scenario)``, it returns fresh ops/sec samples —
-e.g. by checking out ``entry["commit"]`` and re-running the collect
-stage — or None to leave the entry out.  The bisection itself never
-shells out to git; the hook owns that policy.
+An entry with fewer than :data:`.check.MIN_SAMPLES` samples for the
+scenario is never judged: it is listed in ``BisectReport.skipped``.
+The committed trajectory's oldest full-mode entries hold three samples
+each, so a walk over them reports ``insufficient``.
 
 The walk is a binary search and therefore assumes one dominant
 regression in the range (the classic ``git bisect`` contract); with
@@ -23,22 +21,11 @@ see from the known-good side.  The result is a machine-readable
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from . import check as check_mod
-from .store import (
-    RecollectHook,
-    default_trajectory_path,
-    entry_samples,
-    load_trajectory,
-)
+from .store import entry_samples
 
 
 @dataclass
@@ -76,7 +63,6 @@ class BisectReport:
 
     scenario: str
     env: str
-    detectors: List[str]
     #: "regression" (attributed), "clean" (endpoints agree), or
     #: "insufficient" (fewer than two comparable entries).
     status: str
@@ -87,7 +73,7 @@ class BisectReport:
     steps: List[BisectStep] = field(default_factory=list)
     #: Trajectory indices that were comparable (env + scenario + samples).
     considered: List[int] = field(default_factory=list)
-    #: Entries skipped for missing samples (hook declined or absent).
+    #: Entries of this env and mode with fewer than MIN_SAMPLES samples.
     skipped: List[int] = field(default_factory=list)
     detail: str = ""
 
@@ -99,7 +85,6 @@ class BisectReport:
         return {
             "scenario": self.scenario,
             "env": self.env,
-            "detectors": self.detectors,
             "status": self.status,
             "regressed": self.regressed,
             "last_good": self.last_good,
@@ -117,40 +102,25 @@ def bisect_trajectory(
     data: Dict[str, Any],
     scenario: str,
     env: str,
-    quick: Optional[bool] = None,
-    detectors: Optional[Sequence[str]] = None,
-    threshold: float = check_mod.REGRESSION_THRESHOLD,
-    recollect: Optional[RecollectHook] = None,
-    **kwargs: Any,
+    quick: bool = False,
 ) -> BisectReport:
     """Attribute a regression in ``scenario`` to the narrowest entry range.
 
-    ``data`` is a (loaded, hence migrated) trajectory document.  Only
-    entries matching ``env`` (and ``quick``, when given — quick and
-    full runs are never comparable) that carry samples for the scenario
-    participate.  ``detectors``/``threshold``/extra kwargs are passed to
-    the same judging path ``--check`` uses.
+    ``data`` is a loaded trajectory document.  Only entries matching
+    ``env`` and ``quick`` (quick and full runs are never comparable)
+    that carry at least :data:`.check.MIN_SAMPLES` samples for the
+    scenario participate; each probe goes through the same judging path
+    ``--check`` uses.
     """
-    names = [d.name for d in check_mod.resolve_detectors(detectors)]
-    report = BisectReport(scenario=scenario, env=env, detectors=names,
-                          status="insufficient")
+    report = BisectReport(scenario=scenario, env=env, status="insufficient")
 
     candidates: List[tuple] = []
     for index, entry in enumerate(data.get("entries", [])):
-        if entry.get("env") != env:
-            continue
-        if quick is not None and bool(entry.get("quick")) != quick:
+        if entry.get("env") != env or bool(entry.get("quick")) != quick:
             continue
         if scenario not in entry.get("results", {}):
             continue
-        samples = entry_samples(entry, scenario)
-        if not samples and recollect is not None:
-            fresh = recollect(entry, scenario)
-            if fresh:
-                # Refresh in place so the judging path below sees it.
-                entry["results"][scenario]["samples_ops_per_sec"] = list(fresh)
-                samples = list(fresh)
-        if not samples:
+        if len(entry_samples(entry, scenario)) < check_mod.MIN_SAMPLES:
             report.skipped.append(index)
             continue
         candidates.append((index, entry))
@@ -158,7 +128,8 @@ def bisect_trajectory(
     report.considered = [index for index, _ in candidates]
     if len(candidates) < 2:
         report.detail = (f"need >= 2 comparable entries for env {env!r} "
-                         f"and scenario {scenario!r}; "
+                         f"and scenario {scenario!r} with >= "
+                         f"{check_mod.MIN_SAMPLES} samples; "
                          f"found {len(candidates)}")
         return report
 
@@ -166,9 +137,7 @@ def bisect_trajectory(
 
     def probe(position: int) -> BisectStep:
         index, entry = candidates[position]
-        outcome = check_mod.check_entry_pair(
-            good_entry, entry, scenario,
-            detectors=detectors, threshold=threshold, **kwargs)
+        outcome = check_mod.check_entry_pair(good_entry, entry, scenario)
         assert outcome is not None  # both sides have samples
         return BisectStep(index=index, label=entry.get("label", ""),
                           commit=entry.get("commit"),
@@ -207,69 +176,3 @@ def bisect_trajectory(
         f"median ratio {first_bad.check.median_ratio:.3f} vs entry "
         f"{good_index}")
     return report
-
-
-def make_git_recollect_hook(
-    quick: bool = True,
-    repeats: int = 5,
-    repo_root: Optional[Path] = None,
-    timeout: float = 1800.0,
-) -> RecollectHook:
-    """A :data:`store.RecollectHook` that re-runs collect at a commit.
-
-    For an entry carrying a ``commit``, checks that commit out into a
-    throwaway ``git worktree``, runs that tree's own
-    ``python -m repro bench`` for the one scenario into a temporary
-    trajectory file, and returns the per-repeat samples (deriving them
-    through this tree's migration, so it works against commits that
-    predate schema v2).  Returns None — keep/skip the stored entry —
-    on any failure: no commit recorded, worktree creation refused,
-    scenario unknown at that commit, bench non-zero.
-
-    This is policy, not mechanism: bisect itself never touches git, and
-    tests substitute canned hooks.
-    """
-    root = Path(repo_root) if repo_root else default_trajectory_path().parent
-
-    def hook(entry: Dict[str, Any], scenario: str) -> Optional[List[float]]:
-        commit = entry.get("commit")
-        if not commit:
-            return None
-        with tempfile.TemporaryDirectory(prefix="repro-bisect-") as tmp:
-            worktree = Path(tmp) / "tree"
-            traj = Path(tmp) / "recollect.json"
-            add = subprocess.run(
-                ["git", "worktree", "add", "--detach", str(worktree), commit],
-                cwd=root, capture_output=True, text=True, timeout=timeout)
-            if add.returncode != 0:
-                return None
-            try:
-                argv = [sys.executable, "-m", "repro", "bench",
-                        "--scenarios", scenario, "--repeats", str(repeats),
-                        "--trajectory", str(traj),
-                        "--label", f"bisect recollect {commit}"]
-                if quick:
-                    argv.insert(4, "--quick")
-                env = dict(os.environ)
-                env["PYTHONPATH"] = str(worktree / "src")
-                ran = subprocess.run(argv, cwd=worktree, env=env,
-                                     capture_output=True, text=True,
-                                     timeout=timeout)
-                if ran.returncode != 0 or not traj.exists():
-                    return None
-                try:
-                    data = load_trajectory(traj)
-                except (ValueError, json.JSONDecodeError):
-                    return None
-                for fresh in reversed(data.get("entries", [])):
-                    samples = entry_samples(fresh, scenario)
-                    if samples:
-                        return samples
-                return None
-            finally:
-                subprocess.run(
-                    ["git", "worktree", "remove", "--force", str(worktree)],
-                    cwd=root, capture_output=True, text=True, timeout=120)
-        return None
-
-    return hook

@@ -3,9 +3,9 @@
 The paper reports distributions, not scalars, for its overhead
 comparisons — the bench gate should too.  Host noise makes raw
 best-of-N thresholds unreliable (the 64-core trajectory entry needed a
-manual paired A/B protocol), so verdicts here come from a registry of
-pure, stdlib-only detectors over the per-repeat sample distributions
-the store keeps:
+manual paired A/B protocol), so verdicts here come from two pure,
+stdlib-only detectors over the per-repeat sample distributions the
+store keeps, and every scenario is judged by both:
 
 * :func:`mann_whitney` — one-sided Mann-Whitney U rank test that the
   current throughput distribution is stochastically *smaller* than the
@@ -14,15 +14,18 @@ the store keeps:
   the ratio of medians; regression when the whole interval sits below
   ``1 - min_effect``.
 
-Both detectors first normalize the current samples by the
-host-calibration ratio (a host that measures 1.3× slower on the fixed
-spin+hash microbenchmark is *expected* to simulate 1.3× slower), and
-both gate on a practical-effect floor as well as significance — a
-statistically detectable 0.5 % dip is noise to us, and the floor is
-what drives the false-positive rate on noise-only distributions to
-zero.  Detectors are pure functions of (baseline samples, current
-samples, calibration ratio), so every verdict is unit-testable without
-running the simulator.
+A scenario regresses when either detector flags it.  Both detectors
+first normalize the current samples by the host-calibration ratio (a
+host that measures 1.3× slower on the fixed spin+hash microbenchmark
+is *expected* to simulate 1.3× slower), and both gate on a
+practical-effect floor as well as significance — a statistically
+detectable 0.5 % dip is noise to us, and the floor is what drives the
+false-positive rate on noise-only distributions to zero.  Neither
+statistic means anything below :data:`MIN_SAMPLES` samples per side,
+so a sample-starved pair is never judged: it fails the gate as
+*insufficient*.  Detectors are pure functions of (baseline samples,
+current samples, calibration ratio), so every verdict is
+unit-testable without running the simulator.
 """
 
 from __future__ import annotations
@@ -31,15 +34,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .collect import BenchResult
 from .store import entry_samples
 
-#: Legacy scalar gate: fail on >20 % best-of-N ops/sec drop.  Still the
-#: fallback when either side has too few samples for the detectors.
-REGRESSION_THRESHOLD = 0.20
-
+#: Samples each side needs before either detector may judge a pair.
+MIN_SAMPLES = 5
 #: One-sided significance level for rank-test verdicts.
 ALPHA = 0.01
 #: Practical-effect floor: drops smaller than this are never flagged.
@@ -77,11 +78,7 @@ class DetectorVerdict:
     """One detector's judgement of one baseline/current sample pair."""
 
     detector: str
-    #: True only when the detector both ran and found a regression.
     regressed: bool
-    #: False when the detector declined (e.g. too few samples); a
-    #: non-applicable verdict never fails a gate on its own.
-    applicable: bool
     #: median(current, normalized) / median(baseline); < 1 is a slowdown.
     median_ratio: float
     #: Calibration ratio the current samples were normalized by.
@@ -95,7 +92,6 @@ class DetectorVerdict:
         payload: Dict[str, Any] = {
             "detector": self.detector,
             "regressed": self.regressed,
-            "applicable": self.applicable,
             "median_ratio": round(self.median_ratio, 4),
             "calibration_ratio": round(self.calibration_ratio, 4),
             "detail": self.detail,
@@ -107,58 +103,6 @@ class DetectorVerdict:
         if self.ci_high is not None:
             payload["ci_high"] = round(self.ci_high, 4)
         return payload
-
-
-@dataclass(frozen=True)
-class Detector:
-    """Registry entry: a named, pure verdict function."""
-
-    name: str
-    #: Minimum samples required on *each* side before the statistic
-    #: means anything; below this the detector declines (applicable
-    #: False) and the caller falls back to the legacy scalar threshold.
-    min_samples: int
-    func: Callable[..., DetectorVerdict]
-
-    def __call__(self, base: Sequence[float], cur: Sequence[float],
-                 **kwargs: Any) -> DetectorVerdict:
-        if len(base) < self.min_samples or len(cur) < self.min_samples:
-            ratio = kwargs.get("cal_ratio", 1.0)
-            med = _median_ratio(base, cur, ratio)
-            return DetectorVerdict(
-                detector=self.name, regressed=False, applicable=False,
-                median_ratio=med, calibration_ratio=ratio,
-                detail=(f"needs >= {self.min_samples} samples per side "
-                        f"(got {len(base)} vs {len(cur)})"),
-            )
-        return self.func(base, cur, **kwargs)
-
-
-#: The detector registry: name -> Detector.  ``--check`` runs all of
-#: them by default; new detectors only need :func:`register_detector`.
-DETECTORS: Dict[str, Detector] = {}
-
-
-def register_detector(name: str, min_samples: int):
-    def wrap(func: Callable[..., DetectorVerdict]) -> Detector:
-        detector = Detector(name=name, min_samples=min_samples, func=func)
-        DETECTORS[name] = detector
-        return detector
-    return wrap
-
-
-def detector_names() -> List[str]:
-    return sorted(DETECTORS)
-
-
-def resolve_detectors(names: Optional[Sequence[str]] = None) -> List[Detector]:
-    if not names:
-        return [DETECTORS[n] for n in detector_names()]
-    unknown = [n for n in names if n not in DETECTORS]
-    if unknown:
-        known = ", ".join(detector_names())
-        raise KeyError(f"unknown detector(s) {unknown}; known: {known}")
-    return [DETECTORS[n] for n in names]
 
 
 def _median_ratio(base: Sequence[float], cur: Sequence[float],
@@ -191,22 +135,36 @@ def _ranks(values: Sequence[float]) -> tuple:
     return ranks, tie_sum
 
 
-@register_detector("mann_whitney", min_samples=5)
+def _shortfall(base: Sequence[float], cur: Sequence[float]) -> str:
+    """Why the pair is too small to judge, or "" when it is not."""
+    if len(base) >= MIN_SAMPLES and len(cur) >= MIN_SAMPLES:
+        return ""
+    return (f"needs >= {MIN_SAMPLES} samples per side "
+            f"(baseline {len(base)}, current {len(cur)})")
+
+
+def _require_samples(base: Sequence[float], cur: Sequence[float]) -> None:
+    shortfall = _shortfall(base, cur)
+    if shortfall:
+        raise ValueError(shortfall)
+
+
 def mann_whitney(
     base: Sequence[float],
     cur: Sequence[float],
     cal_ratio: float = 1.0,
     alpha: float = ALPHA,
     min_effect: float = MIN_EFFECT,
-    **_: Any,
 ) -> DetectorVerdict:
     """One-sided Mann-Whitney U: is current stochastically slower?
 
     Normal approximation with tie correction and continuity correction;
     exact enough from ~5 samples per side, and the verdict additionally
     requires the observed median drop to exceed ``min_effect`` so a
-    significant-but-tiny shift never fires the gate.
+    significant-but-tiny shift never fires the gate.  Raises
+    ``ValueError`` below :data:`MIN_SAMPLES` samples on either side.
     """
+    _require_samples(base, cur)
     cur_norm = normalize_samples(cur, cal_ratio)
     n1, n2 = len(cur_norm), len(base)
     combined = list(cur_norm) + list(base)
@@ -222,7 +180,7 @@ def mann_whitney(
     if var <= 0:
         # Every sample identical: nothing moved, nothing to flag.
         return DetectorVerdict(
-            detector="mann_whitney", regressed=False, applicable=True,
+            detector="mann_whitney", regressed=False,
             median_ratio=med_ratio, calibration_ratio=cal_ratio,
             p_value=1.0, detail="degenerate (all samples tied)",
         )
@@ -231,7 +189,7 @@ def mann_whitney(
     drop = 1.0 - med_ratio
     regressed = p_value < alpha and drop >= min_effect
     return DetectorVerdict(
-        detector="mann_whitney", regressed=regressed, applicable=True,
+        detector="mann_whitney", regressed=regressed,
         median_ratio=med_ratio, calibration_ratio=cal_ratio,
         p_value=p_value,
         detail=(f"one-sided p={p_value:.4g} (alpha {alpha}), "
@@ -240,7 +198,6 @@ def mann_whitney(
     )
 
 
-@register_detector("bootstrap_median", min_samples=5)
 def bootstrap_median(
     base: Sequence[float],
     cur: Sequence[float],
@@ -249,7 +206,6 @@ def bootstrap_median(
     resamples: int = BOOTSTRAP_RESAMPLES,
     seed: int = BOOTSTRAP_SEED,
     confidence: float = BOOTSTRAP_CONFIDENCE,
-    **_: Any,
 ) -> DetectorVerdict:
     """Seeded bootstrap CI on median(current)/median(baseline).
 
@@ -258,8 +214,10 @@ def bootstrap_median(
     takes the percentile interval of the median ratio, and flags a
     regression only when the *entire* interval sits below
     ``1 - min_effect`` — i.e. even the luckiest resampling of the data
-    shows more than the practical-effect floor of slowdown.
+    shows more than the practical-effect floor of slowdown.  Raises
+    ``ValueError`` below :data:`MIN_SAMPLES` samples on either side.
     """
+    _require_samples(base, cur)
     cur_norm = normalize_samples(cur, cal_ratio)
     rng = random.Random(seed)
     nb, nc = len(base), len(cur_norm)
@@ -276,7 +234,7 @@ def bootstrap_median(
     med_ratio = _median_ratio(base, cur, cal_ratio)
     regressed = ci_high < 1.0 - min_effect
     return DetectorVerdict(
-        detector="bootstrap_median", regressed=regressed, applicable=True,
+        detector="bootstrap_median", regressed=regressed,
         median_ratio=med_ratio, calibration_ratio=cal_ratio,
         ci_low=ci_low, ci_high=ci_high,
         detail=(f"{confidence:.0%} CI on median ratio "
@@ -286,15 +244,11 @@ def bootstrap_median(
 
 
 def compare_samples(
-    base: Sequence[float],
-    cur: Sequence[float],
-    cal_ratio: float = 1.0,
-    detectors: Optional[Sequence[str]] = None,
-    **kwargs: Any,
+    base: Sequence[float], cur: Sequence[float], cal_ratio: float = 1.0
 ) -> List[DetectorVerdict]:
-    """Run the named detectors (default: all) on one sample pair."""
-    return [d(base, cur, cal_ratio=cal_ratio, **kwargs)
-            for d in resolve_detectors(detectors)]
+    """Both detectors' verdicts on one sample pair."""
+    return [mann_whitney(base, cur, cal_ratio=cal_ratio),
+            bootstrap_median(base, cur, cal_ratio=cal_ratio)]
 
 
 @dataclass
@@ -303,18 +257,18 @@ class ScenarioCheck:
 
     scenario: str
     regressed: bool
-    #: True when no detector was applicable and the legacy scalar
-    #: threshold decided instead.
-    fallback: bool
     median_ratio: float
     verdicts: List[DetectorVerdict] = field(default_factory=list)
     detail: str = ""
+    #: A side had fewer than :data:`MIN_SAMPLES` samples, so no
+    #: detector ran; the gate fails rather than guess.
+    insufficient: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "scenario": self.scenario,
             "regressed": self.regressed,
-            "fallback": self.fallback,
+            "insufficient": self.insufficient,
             "median_ratio": round(self.median_ratio, 4),
             "verdicts": [v.to_dict() for v in self.verdicts],
             "detail": self.detail,
@@ -322,12 +276,7 @@ class ScenarioCheck:
 
 
 def check_entry_pair(
-    base_entry: Dict[str, Any],
-    cur_entry: Dict[str, Any],
-    scenario: str,
-    detectors: Optional[Sequence[str]] = None,
-    threshold: float = REGRESSION_THRESHOLD,
-    **kwargs: Any,
+    base_entry: Dict[str, Any], cur_entry: Dict[str, Any], scenario: str
 ) -> Optional[ScenarioCheck]:
     """Judge one scenario between two stored entries (bisect's unit)."""
     base = entry_samples(base_entry, scenario)
@@ -336,16 +285,13 @@ def check_entry_pair(
         return None
     ratio = calibration_ratio(base_entry.get("host_calibration"),
                               cur_entry.get("host_calibration"))
-    return _judge(scenario, base, cur, ratio, detectors, threshold, **kwargs)
+    return _judge(scenario, base, cur, ratio)
 
 
 def check_results(
     results: Dict[str, BenchResult],
     baseline: Optional[Dict[str, Any]],
     calibration: Optional[float] = None,
-    detectors: Optional[Sequence[str]] = None,
-    threshold: float = REGRESSION_THRESHOLD,
-    **kwargs: Any,
 ) -> Dict[str, ScenarioCheck]:
     """Judge a fresh ``run_bench`` result set against a baseline entry.
 
@@ -356,15 +302,13 @@ def check_results(
     """
     if baseline is None:
         return {}
+    ratio = calibration_ratio(baseline.get("host_calibration"), calibration)
     checks: Dict[str, ScenarioCheck] = {}
     for name, result in results.items():
         base = entry_samples(baseline, name)
-        if not base:
-            continue
-        ratio = calibration_ratio(baseline.get("host_calibration"),
-                                  calibration)
-        checks[name] = _judge(name, base, result.samples_ops_per_sec,
-                              ratio, detectors, threshold, **kwargs)
+        if base:
+            checks[name] = _judge(name, base, result.samples_ops_per_sec,
+                                  ratio)
     return checks
 
 
@@ -373,61 +317,20 @@ def _judge(
     base: Sequence[float],
     cur: Sequence[float],
     cal_ratio: float,
-    detectors: Optional[Sequence[str]],
-    threshold: float,
-    **kwargs: Any,
 ) -> ScenarioCheck:
-    verdicts = compare_samples(base, cur, cal_ratio=cal_ratio,
-                               detectors=detectors, **kwargs)
     med_ratio = _median_ratio(base, cur, cal_ratio)
-    applicable = [v for v in verdicts if v.applicable]
-    if applicable:
-        flagged = [v.detector for v in applicable if v.regressed]
-        return ScenarioCheck(
-            scenario=scenario,
-            regressed=bool(flagged),
-            fallback=False,
-            median_ratio=med_ratio,
-            verdicts=verdicts,
-            detail=(f"flagged by {', '.join(flagged)}" if flagged
-                    else f"passed {len(applicable)} detector(s)"),
-        )
-    # Too few samples on one side (e.g. a migrated v1 scalar entry):
-    # fall back to the legacy best-of-N threshold so old trajectories
-    # still gate — just less sharply.
-    best_base = max(base)
-    best_cur = max(normalize_samples(cur, cal_ratio))
-    regressed = best_base > 0 and best_cur < (1.0 - threshold) * best_base
+    shortfall = _shortfall(base, cur)
+    if shortfall:
+        return ScenarioCheck(scenario=scenario, regressed=False,
+                             median_ratio=med_ratio, insufficient=True,
+                             detail=f"not judged: {shortfall}")
+    verdicts = compare_samples(base, cur, cal_ratio=cal_ratio)
+    flagged = [v.detector for v in verdicts if v.regressed]
     return ScenarioCheck(
         scenario=scenario,
-        regressed=regressed,
-        fallback=True,
+        regressed=bool(flagged),
         median_ratio=med_ratio,
         verdicts=verdicts,
-        detail=(f"legacy threshold fallback: best {best_cur:,.0f} vs "
-                f"{best_base:,.0f} ops/s (fail below "
-                f"{(1.0 - threshold) * best_base:,.0f})"),
+        detail=(f"flagged by {', '.join(flagged)}" if flagged
+                else f"passed {len(verdicts)} detectors"),
     )
-
-
-def check_regression(
-    results: Dict[str, BenchResult],
-    baseline: Optional[Dict[str, Any]],
-    threshold: float = REGRESSION_THRESHOLD,
-) -> List[str]:
-    """Legacy scalar gate: scenario names whose best-of-N ops/sec
-    dropped more than ``threshold`` (no calibration normalization, no
-    statistics).  Kept for API compatibility; ``--check`` now goes
-    through :func:`check_results`.
-    """
-    if baseline is None:
-        return []
-    failures = []
-    for name, result in results.items():
-        base = baseline.get("results", {}).get(name)
-        if not base:
-            continue
-        base_ops = base.get("ops_per_sec", 0.0)
-        if base_ops > 0 and result.ops_per_sec < (1.0 - threshold) * base_ops:
-            failures.append(name)
-    return failures

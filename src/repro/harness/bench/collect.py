@@ -105,8 +105,6 @@ class BenchResult:
     ops: int
     seconds: float
     ops_per_sec: float
-    per_op_us_p50: float
-    per_op_us_p95: float
     cycles: int
     stores: int
     transactions: int
@@ -128,8 +126,6 @@ class BenchResult:
             "ops": self.ops,
             "seconds": round(self.seconds, 6),
             "ops_per_sec": round(self.ops_per_sec, 1),
-            "per_op_us_p50": round(self.per_op_us_p50, 3),
-            "per_op_us_p95": round(self.per_op_us_p95, 3),
             "cycles": self.cycles,
             "stores": self.stores,
             "transactions": self.transactions,
@@ -141,17 +137,9 @@ class BenchResult:
         }
 
 
-def _percentile(samples: Sequence[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
-
-
-def _build(spec: RunSpec, capture_txn_wall: bool) -> tuple:
+def _build(spec: RunSpec) -> tuple:
     """``(machine, workload, scheduler)`` for ``spec``; the test seam."""
-    return build_run(spec, capture_txn_wall=capture_txn_wall)
+    return build_run(spec)
 
 
 def run_scenario(
@@ -175,7 +163,7 @@ def run_scenario(
     seconds: List[float] = []
     best: Optional[BenchResult] = None
     for repeat in range(max(1, repeats)):
-        machine, workload, scheduler = _build(spec, capture_txn_wall=True)
+        machine, workload, scheduler = _build(spec)
         start = perf_counter()
         result = run_built(machine, workload, scheduler)
         elapsed = perf_counter() - start
@@ -183,15 +171,11 @@ def run_scenario(
         if best is not None and elapsed >= best.seconds:
             continue
         ops = machine.stats.get("l1.accesses")
-        samples = machine.txn_wall_samples or []
-        ops_per_txn = ops / max(1, result.transactions)
         best = BenchResult(
             name=scenario.name,
             ops=ops,
             seconds=elapsed,
             ops_per_sec=ops / elapsed if elapsed > 0 else 0.0,
-            per_op_us_p50=_percentile(samples, 0.50) / ops_per_txn * 1e6,
-            per_op_us_p95=_percentile(samples, 0.95) / ops_per_txn * 1e6,
             cycles=result.cycles,
             stores=result.stores,
             transactions=result.transactions,
@@ -200,7 +184,7 @@ def run_scenario(
     assert best is not None
     best.all_seconds = seconds
     if profile_frames > 0:
-        machine, workload, scheduler = _build(spec, capture_txn_wall=False)
+        machine, workload, scheduler = _build(spec)
         profiler = cProfile.Profile()
         profiler.enable()
         run_built(machine, workload, scheduler)
@@ -285,7 +269,7 @@ def run_fingerprint(spec: RunSpec) -> Dict[str, Any]:
     cache key.  Two implementations of the simulator are behaviorally
     identical on ``spec`` iff these hashes match.
     """
-    machine, workload, scheduler = _build(spec, capture_txn_wall=False)
+    machine, workload, scheduler = _build(spec)
     result = run_built(machine, workload, scheduler)
     stats = machine.stats
     counters = sorted(stats.counters().items())

@@ -7,20 +7,8 @@ carries the full per-repeat sample distribution
 detectors in :mod:`.check` can judge distributions instead of scalars
 and :mod:`.bisect` can attribute a regression to an entry range.
 
-Schema history
---------------
-
-* **v1** (PR 3) — scalar entries: best-of-N ``ops_per_sec`` per
-  scenario, raw repeat wall times in ``all_seconds``, optional
-  ``host_calibration`` (added in PR 8).
-* **v2** (this PR) — adds ``samples_ops_per_sec`` (per-repeat
-  throughput) to every result and an optional top-level ``commit`` per
-  entry.  :func:`migrate_trajectory` upgrades v1 in place and is
-  **lossless**: every v1 field is preserved byte-for-byte, the samples
-  are derived from the v1 ``ops``/``all_seconds`` pair (falling back to
-  the scalar ``ops_per_sec`` when a v1 entry recorded no repeat
-  times).  Migration is idempotent; :func:`load_trajectory` migrates on
-  read, so callers only ever see v2.
+Schema 2 is the only schema this code reads: :func:`load_trajectory`
+refuses any other, naming the schema it found.
 """
 
 from __future__ import annotations
@@ -32,7 +20,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .collect import BenchResult
 
@@ -75,50 +63,18 @@ def current_commit() -> Optional[str]:
     return sha if proc.returncode == 0 and sha else None
 
 
-def _derive_samples(result: Dict[str, Any]) -> List[float]:
-    """Per-repeat ops/sec from a v1 result dict (lossless derivation).
-
-    The simulated op count is deterministic per scenario, so each
-    repeat's throughput is ``ops`` over that repeat's wall time.  A v1
-    entry that kept no repeat times degrades to the single best-of-N
-    scalar — one sample, which is exactly the information it stored.
-    """
-    ops = result.get("ops", 0)
-    seconds = [s for s in result.get("all_seconds", []) if s and s > 0]
-    if ops and seconds:
-        return [round(ops / s, 1) for s in seconds]
-    scalar = result.get("ops_per_sec", 0.0)
-    return [scalar] if scalar else []
-
-
-def migrate_trajectory(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Upgrade a trajectory document to schema v2, in place.
-
-    Idempotent and lossless: existing fields are never rewritten, only
-    ``samples_ops_per_sec`` is added where missing (and the schema tag
-    bumped).  Returns ``data`` for chaining.
-    """
-    data.setdefault("schema", 1)
-    data.setdefault("entries", [])
-    if data["schema"] > TRAJECTORY_SCHEMA:
-        raise ValueError(
-            f"trajectory schema {data['schema']} is newer than this "
-            f"code understands ({TRAJECTORY_SCHEMA}); refusing to guess"
-        )
-    for entry in data["entries"]:
-        entry.setdefault("host_calibration", None)
-        for result in entry.get("results", {}).values():
-            if "samples_ops_per_sec" not in result:
-                result["samples_ops_per_sec"] = _derive_samples(result)
-    data["schema"] = TRAJECTORY_SCHEMA
-    return data
-
-
 def load_trajectory(path: Path) -> Dict[str, Any]:
-    """Load (and in-memory migrate) the trajectory document at ``path``."""
+    """Load the schema-2 trajectory (or profile) document at ``path``."""
     if not path.exists():
         return {"schema": TRAJECTORY_SCHEMA, "entries": []}
-    return migrate_trajectory(json.loads(path.read_text()))
+    data = json.loads(path.read_text())
+    schema = data.get("schema")
+    if schema != TRAJECTORY_SCHEMA:
+        raise ValueError(
+            f"{path}: trajectory schema {schema!r} is not supported; "
+            f"this code reads schema {TRAJECTORY_SCHEMA} only"
+        )
+    return data
 
 
 def make_entry(
@@ -206,22 +162,9 @@ def baseline_entry(
 def entry_samples(entry: Dict[str, Any], scenario: str) -> List[float]:
     """The stored sample distribution for ``scenario`` in ``entry``.
 
-    Empty when the entry never measured that scenario.  Entries loaded
-    through :func:`load_trajectory` always carry samples (migration
-    guarantees it); raw dicts from elsewhere fall back to the same
-    derivation the migration uses.
+    Empty when the entry never measured that scenario.
     """
     result = entry.get("results", {}).get(scenario)
     if not result:
         return []
-    samples = result.get("samples_ops_per_sec")
-    if samples is None:
-        samples = _derive_samples(result)
-    return list(samples)
-
-
-#: Signature of the pluggable re-collection hook used by :mod:`.bisect`:
-#: called with (entry, scenario_name), returns fresh ops/sec samples for
-#: that entry's commit — e.g. by checking out ``entry["commit"]`` and
-#: re-running the collect stage — or None to keep the stored samples.
-RecollectHook = Callable[[Dict[str, Any], str], Optional[List[float]]]
+    return list(result.get("samples_ops_per_sec", []))

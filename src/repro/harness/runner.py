@@ -124,7 +124,7 @@ def make_scheme(name: str, nvo_params: Optional[NVOverlayParams] = None) -> Snap
     return SCHEMES[name]()
 
 
-def build_run(spec: RunSpec, capture_txn_wall: bool = False) -> Tuple[Machine, Any, Any]:
+def build_run(spec: RunSpec) -> Tuple[Machine, Any, Any]:
     """Construct one clean cell: ``(machine, workload, scheduler)``.
 
     The single construction path for ``simulate`` and the bench: the
@@ -144,7 +144,6 @@ def build_run(spec: RunSpec, capture_txn_wall: bool = False) -> Tuple[Machine, A
         scheme=make_scheme(spec.scheme, spec.nvo_params),
         capture_store_log=spec.capture_store_log,
         capture_latency=spec.capture_latency,
-        capture_txn_wall=capture_txn_wall,
         oracle=oracle,
     )
     workload = make_workload(

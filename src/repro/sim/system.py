@@ -12,9 +12,8 @@ experiments (VDs genuinely skew when their threads progress unevenly).
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from .config import SystemConfig
 from .dram import DRAM
@@ -51,7 +50,6 @@ class Machine:
         scheme: Optional[SnapshotScheme] = None,
         capture_store_log: bool = False,
         capture_latency: bool = False,
-        capture_txn_wall: bool = False,
         fault_injector=None,
         oracle=None,
     ) -> None:
@@ -82,12 +80,6 @@ class Machine:
         #: Record a per-operation latency histogram ("op_latency" /
         #: "txn_latency") — opt-in, it costs a few percent of runtime.
         self.capture_latency = capture_latency
-        #: Sample wall-clock seconds per transaction (``repro bench``
-        #: p50/p95 per-op cost).  None unless requested: the run loop
-        #: never touches ``time.perf_counter`` when disabled.
-        self.txn_wall_samples: Optional[List[float]] = (
-            [] if capture_txn_wall else None
-        )
         self._global_stall_until = 0
         #: Optional per-transaction-boundary callback ``hook(now)`` — the
         #: snapshot-serving reader scheduler (repro.serve) interleaves
@@ -153,8 +145,6 @@ class Machine:
             else None
         )
         capture_latency = self.capture_latency
-        txn_wall = self.txn_wall_samples
-        perf_counter = time.perf_counter
         observe = self.stats.observe
         while ready:
             clock, tid = heappop(ready)
@@ -175,8 +165,6 @@ class Machine:
                 clock += epoch_flush(vd, clock)
             if boundary_hook is not None:
                 clock += boundary_hook(tid, clock)
-            if txn_wall is not None:
-                wall_start = perf_counter()
             if capture_latency:
                 txn_start = clock
                 for addr, size, is_store in txn:
@@ -189,8 +177,6 @@ class Machine:
             else:
                 for addr, size, is_store in txn:
                     clock += execute_access(tid, addr, size, is_store, clock)
-            if txn_wall is not None:
-                txn_wall.append(perf_counter() - wall_start)
             if poll_hook is not None:
                 poll_hook(clock)
             if oracle_poll is not None:

@@ -7,7 +7,7 @@ sample-stream player substituted at the ``_build`` seam — no bench test
 here depends on wall-clock timing.  The one intentionally real-timing
 smoke is opt-in via ``@pytest.mark.slow`` (``pytest --run-slow``).
 
-Detector, store-migration and bisect coverage live in
+Detector, store and bisect coverage live in
 ``test_bench_detectors.py`` / ``test_bench_store.py`` /
 ``test_bench_bisect.py`` (simulator-free).
 """
@@ -24,7 +24,6 @@ from repro.harness.bench import (
     SCENARIOS,
     append_entry,
     baseline_entry,
-    check_regression,
     collect,
     env_id,
     load_trajectory,
@@ -54,10 +53,8 @@ class FakeClock:
 class FakeMachine:
     """Canned sample-stream player standing in for ``Machine``."""
 
-    def __init__(self, ops=32000, txn_samples=(0.001, 0.002, 0.003),
-                 cycles=4888, stores=160, transactions=80):
+    def __init__(self, ops=32000, cycles=4888, stores=160, transactions=80):
         self.stats = SimpleNamespace(get=lambda key: ops)
-        self.txn_wall_samples = list(txn_samples)
         self._outcome = SimpleNamespace(
             cycles=cycles, stores=stores, transactions=transactions)
         self.runs = 0
@@ -80,7 +77,7 @@ def fake_collect(monkeypatch, elapsed_per_repeat, **machine_kwargs):
                         lambda rounds=collect.CALIBRATION_ROUNDS: 0.009)
     machines = []
 
-    def build(spec, capture_txn_wall):
+    def build(spec):
         machine = FakeMachine(**machine_kwargs)
         machines.append(machine)
         return machine, None, None
@@ -94,8 +91,7 @@ def _result(name: str, ops_per_sec: float, samples=None) -> BenchResult:
                else [1000.0 / ops_per_sec])
     return BenchResult(
         name=name, ops=1000, seconds=min(seconds),
-        ops_per_sec=ops_per_sec, per_op_us_p50=1.0, per_op_us_p95=2.0,
-        cycles=1, stores=1, transactions=1, repeats=len(seconds),
+        ops_per_sec=ops_per_sec, cycles=1, stores=1, transactions=1, repeats=len(seconds),
         all_seconds=seconds,
     )
 
@@ -125,8 +121,7 @@ class TestScenarios:
 
     def test_run_scenario_measures_deterministically(self, monkeypatch):
         """Fake clock + canned stream: every number is exact."""
-        fake_collect(monkeypatch, [0.5, 0.4, 0.2], ops=1000,
-                     txn_samples=[0.004] * 80, transactions=80)
+        fake_collect(monkeypatch, [0.5, 0.4, 0.2], ops=1000, transactions=80)
         result = run_scenario(SCENARIOS["ycsb_a_picl"], quick=True,
                               repeats=3)
         assert result.all_seconds == [pytest.approx(s) for s in
@@ -136,8 +131,7 @@ class TestScenarios:
         assert result.ops_per_sec == pytest.approx(1000 / 0.2)
         assert result.samples_ops_per_sec == [
             pytest.approx(1000 / s) for s in [0.5, 0.4, 0.2]]
-        # per-op cost: per-txn wall 4ms over 1000/80 ops per txn.
-        assert result.per_op_us_p50 == pytest.approx(0.004 / 12.5 * 1e6)
+        assert result.transactions == 80
         assert result.repeats == 3
         payload = result.to_dict()
         assert payload["ops"] == 1000
@@ -171,7 +165,6 @@ class TestScenarios:
         assert result.ops_per_sec > 0
         assert result.seconds == min(result.all_seconds)
         assert len(result.all_seconds) == 2
-        assert result.per_op_us_p95 >= result.per_op_us_p50 >= 0
 
     def test_oracle_scenario_runs(self):
         result = run_scenario(SCENARIOS["uniform_picl"], quick=True,
@@ -229,39 +222,6 @@ class TestTrajectory:
         assert parsed["entries"][0]["results"]["s"]["samples_ops_per_sec"]
 
 
-class TestLegacyRegressionGate:
-    """The legacy scalar gate survives as API + sample-starved fallback."""
-
-    def _baseline(self, ops_per_sec: float):
-        return {
-            "label": "base", "env": "test-env", "quick": True,
-            "results": {"uniform_nvoverlay": {"ops_per_sec": ops_per_sec}},
-        }
-
-    def test_no_baseline_never_fails(self):
-        results = {"uniform_nvoverlay": _result("uniform_nvoverlay", 1.0)}
-        assert check_regression(results, None) == []
-
-    def test_within_threshold_passes(self):
-        results = {"uniform_nvoverlay": _result("uniform_nvoverlay", 85.0)}
-        assert check_regression(results, self._baseline(100.0)) == []
-
-    def test_regression_detected(self):
-        results = {"uniform_nvoverlay": _result("uniform_nvoverlay", 70.0)}
-        assert check_regression(results, self._baseline(100.0)) == [
-            "uniform_nvoverlay"
-        ]
-
-    def test_threshold_is_configurable(self):
-        results = {"uniform_nvoverlay": _result("uniform_nvoverlay", 85.0)}
-        assert check_regression(results, self._baseline(100.0),
-                                threshold=0.10) == ["uniform_nvoverlay"]
-
-    def test_new_scenario_not_in_baseline_is_skipped(self):
-        results = {"brand_new": _result("brand_new", 1.0)}
-        assert check_regression(results, self._baseline(100.0)) == []
-
-
 class TestCli:
     def test_bench_command_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
@@ -282,11 +242,10 @@ class TestCli:
         data = load_trajectory(path)
         assert [e["label"] for e in data["entries"]] == ["unit test"]
         # Second run: baseline exists; identical canned distribution →
-        # statistical gate passes (no legacy-threshold fallback).
+        # statistical gate passes.
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "regression gate: OK" in captured.err
-        assert "legacy" not in captured.err
         assert len(load_trajectory(path)["entries"]) == 2
 
     def test_bench_check_flags_canned_regression(self, tmp_path, capsys,
@@ -320,45 +279,62 @@ class TestCli:
         path = tmp_path / "traj.json"
         fake_collect(monkeypatch, [0.5])
         argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl",
-                "--repeats", "1", "--trajectory", str(path), "--check",
-                "--no-update"]
+                "--trajectory", str(path), "--check", "--no-update"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "no baseline entry for env 'never-benched-env'" in captured.err
-        assert "--allow-missing-baseline" in captured.err
+        assert "run without --check" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_bench_check_allow_missing_baseline_skips(
+    def test_bench_check_with_too_few_repeats_exits_2(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_BENCH_ENV", "never-benched-env")
-        path = tmp_path / "traj.json"
-        fake_collect(monkeypatch, [0.5])
-        argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl",
-                "--repeats", "1", "--trajectory", str(path), "--check",
-                "--no-update", "--allow-missing-baseline"]
-        assert main(argv) == 0
-        assert "regression gate: skipped" in capsys.readouterr().err
+        """Three repeats cannot feed the detectors: refused before any
+        scenario is collected."""
+        monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
 
-    def test_bench_single_repeat_falls_back_to_threshold(
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench called")
+
+        monkeypatch.setattr(bench, "run_bench", never)
+        argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl",
+                "--repeats", "3", "--trajectory", str(tmp_path / "t.json"),
+                "--check", "--no-update"]
+        assert main(argv) == 2
+        assert "--check needs --repeats >= 5" in capsys.readouterr().err
+
+    def test_bench_check_fails_on_a_starved_baseline(
         self, tmp_path, capsys, monkeypatch
     ):
-        """Old flags still work: one repeat cannot feed the detectors,
-        so the legacy --threshold gate decides (and says so)."""
+        """A 3-sample baseline scenario fails the gate by name instead
+        of being judged by a weaker rule."""
         monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
         path = tmp_path / "traj.json"
-        append_entry(path, {"ycsb_a_picl": _result("ycsb_a_picl", 1e12)},
-                     label="impossible", quick=True,
-                     timestamp="2026-01-01T00:00:00")
-        fake_collect(monkeypatch, [0.5])
+        append_entry(path, {"ycsb_a_picl": _result(
+            "ycsb_a_picl", 64000.0, samples=[64000.0, 65000.0, 63000.0])},
+            label="three repeats", quick=True,
+            timestamp="2026-01-01T00:00:00")
+        fake_collect(monkeypatch, [0.5, 0.45, 0.55, 0.48, 0.52])
         argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl",
-                "--repeats", "1", "--trajectory", str(path), "--check",
-                "--no-update", "--threshold", "0.2"]
+                "--trajectory", str(path), "--check", "--no-update"]
         assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION ycsb_a_picl" in captured.err
-        assert "fallback" in captured.err
-        assert len(load_trajectory(path)["entries"]) == 1
+        err = capsys.readouterr().err
+        assert "INSUFFICIENT ycsb_a_picl" in err
+        assert "baseline 3" in err
+        assert "regression gate: OK" not in err
+
+    def test_bench_refuses_a_schema_1_trajectory(self, tmp_path, capsys,
+                                                 monkeypatch):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({"schema": 1, "entries": []}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench called")
+
+        monkeypatch.setattr(bench, "run_bench", never)
+        argv = ["bench", "--quick", "--trajectory", str(path), "--no-update"]
+        assert main(argv) == 2
+        assert "schema 1 is not supported" in capsys.readouterr().err
 
     def test_bench_profile_out_survives_no_update(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -386,17 +362,6 @@ class TestCli:
     def test_bench_unknown_scenario_exit_code(self, capsys):
         assert main(["bench", "--scenarios", "nope", "--no-update"]) == 2
         assert "unknown bench scenario" in capsys.readouterr().err
-
-    def test_bench_unknown_detector_exit_code(self, tmp_path, capsys,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
-        fake_collect(monkeypatch, [0.5])
-        argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl",
-                "--repeats", "1", "--trajectory",
-                str(tmp_path / "t.json"), "--check", "--no-update",
-                "--detectors", "nope"]
-        assert main(argv) == 2
-        assert "unknown detector" in capsys.readouterr().err
 
     def test_committed_trajectory_has_optimization_entries(self):
         data = load_trajectory(bench.default_trajectory_path())

@@ -2,7 +2,7 @@
 
 Runs entirely on the committed synthetic fixture trajectory (10 entries,
 a 12 % regression injected at index 6) plus in-memory variants — no
-simulator, part of the fast CI detector-unit job.
+simulator.
 """
 
 import copy
@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.harness.bench import bisect_trajectory, load_trajectory
-from repro.harness.bench import bisect as bisect_mod
 
 FIXTURE = (Path(__file__).parent / "data" / "bench_profiles"
            / "bisect_trajectory.json")
@@ -73,10 +72,23 @@ class TestAttribution:
         report = bisect_trajectory(trajectory, SCENARIO, env=ENV, quick=True)
         assert report.status == "insufficient"  # fixtures are quick=False
 
-    def test_unknown_detector_raises(self, trajectory):
-        with pytest.raises(KeyError, match="unknown detector"):
-            bisect_trajectory(trajectory, SCENARIO, env=ENV,
-                              detectors=["nope"])
+    def test_sample_starved_entries_are_skipped(self, trajectory):
+        """Empty or 3-sample entries are listed, never judged."""
+        stripped = copy.deepcopy(trajectory)
+        empty = stripped["entries"][0]["results"][SCENARIO]
+        empty["samples_ops_per_sec"] = []
+        empty["all_seconds"] = []
+        empty["ops"] = 0
+        bad_index = stripped["first_bad_index"]
+        short = stripped["entries"][bad_index]["results"][SCENARIO]
+        short["samples_ops_per_sec"] = short["samples_ops_per_sec"][:3]
+        report = bisect_trajectory(stripped, SCENARIO, env=ENV)
+        assert report.skipped == [0, bad_index]
+        assert 0 not in report.considered
+        assert bad_index not in report.considered
+        # Attribution shifts to the next regressed entry.
+        assert report.status == "regression"
+        assert report.first_bad["index"] == bad_index + 1
 
     def test_report_is_machine_readable(self, trajectory):
         report = bisect_trajectory(trajectory, SCENARIO, env=ENV)
@@ -84,70 +96,14 @@ class TestAttribution:
         json.dumps(payload)  # JSON-safe end to end
         assert payload["status"] == "regression"
         assert payload["first_bad"]["commit"]
-        assert payload["detectors"] == sorted(payload["detectors"])
         assert all({"index", "label", "commit", "regressed", "check"}
                    <= set(step) for step in payload["steps"])
-
-
-class TestRecollectHook:
-    def test_hook_refreshes_sample_less_entries(self, trajectory):
-        """Entries stripped of samples get re-collected through the
-        pluggable hook (canned here; git-worktree in production)."""
-        stripped = copy.deepcopy(trajectory)
-        canned = {}
-        for entry in stripped["entries"]:
-            result = entry["results"][SCENARIO]
-            canned[entry["commit"]] = result["samples_ops_per_sec"]
-            result["samples_ops_per_sec"] = []
-            result["all_seconds"] = []
-            result["ops"] = 0
-        calls = []
-
-        def hook(entry, scenario):
-            calls.append((entry["commit"], scenario))
-            return canned[entry["commit"]]
-
-        report = bisect_trajectory(stripped, SCENARIO, env=ENV,
-                                   recollect=hook)
-        assert report.status == "regression"
-        assert report.first_bad["index"] == trajectory["first_bad_index"]
-        assert len(calls) == len(stripped["entries"])
-        assert all(s == SCENARIO for _, s in calls)
-
-    def test_hook_declining_skips_entry(self, trajectory):
-        stripped = copy.deepcopy(trajectory)
-        bad_index = stripped["first_bad_index"]
-        target = stripped["entries"][bad_index]["results"][SCENARIO]
-        target["samples_ops_per_sec"] = []
-        target["all_seconds"] = []
-        target["ops"] = 0
-        report = bisect_trajectory(stripped, SCENARIO, env=ENV,
-                                   recollect=lambda entry, scenario: None)
-        # The stripped entry is skipped; attribution shifts to the next
-        # regressed entry, and the skip is reported.
-        assert report.skipped == [bad_index]
-        assert report.status == "regression"
-        assert report.first_bad["index"] == bad_index + 1
-
-    def test_without_hook_sample_less_entries_are_skipped(self, trajectory):
-        stripped = copy.deepcopy(trajectory)
-        target = stripped["entries"][0]["results"][SCENARIO]
-        target["samples_ops_per_sec"] = []
-        target["all_seconds"] = []
-        target["ops"] = 0
-        report = bisect_trajectory(stripped, SCENARIO, env=ENV)
-        assert report.skipped == [0]
-        assert 0 not in report.considered
-
-    def test_git_hook_returns_none_without_commit(self):
-        hook = bisect_mod.make_git_recollect_hook(quick=True, repeats=1)
-        assert hook({"label": "no commit recorded"}, SCENARIO) is None
 
 
 class TestCli:
     def test_bisect_json_verdict(self, capsys):
         argv = ["bench", "bisect", "--scenario", SCENARIO, "--env", ENV,
-                "--any-mode", "--trajectory", str(FIXTURE), "--json"]
+                "--trajectory", str(FIXTURE), "--json"]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "regression"
@@ -156,7 +112,7 @@ class TestCli:
 
     def test_bisect_human_output(self, capsys):
         argv = ["bench", "bisect", "--scenario", SCENARIO, "--env", ENV,
-                "--any-mode", "--trajectory", str(FIXTURE)]
+                "--trajectory", str(FIXTURE)]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "verdict: regression" in out
@@ -164,17 +120,9 @@ class TestCli:
 
     def test_bisect_insufficient_exits_1(self, capsys):
         argv = ["bench", "bisect", "--scenario", SCENARIO,
-                "--env", "nothing-here", "--any-mode",
-                "--trajectory", str(FIXTURE)]
+                "--env", "nothing-here", "--trajectory", str(FIXTURE)]
         assert main(argv) == 1
         assert "insufficient" in capsys.readouterr().out
-
-    def test_bisect_unknown_detector_exits_2(self, capsys):
-        argv = ["bench", "bisect", "--scenario", SCENARIO, "--env", ENV,
-                "--any-mode", "--trajectory", str(FIXTURE),
-                "--detectors", "nope"]
-        assert main(argv) == 2
-        assert "unknown detector" in capsys.readouterr().err
 
     def test_fixture_generator_is_deterministic(self, tmp_path):
         """The committed fixtures match what the generator produces."""

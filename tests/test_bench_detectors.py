@@ -1,17 +1,15 @@
 """Statistical regression detectors, judged on golden fixture profiles.
 
-Pure-function tests: nothing here runs the simulator, so this file (with
-``test_bench_store.py`` and ``test_bench_bisect.py``) is the CI
-detector-unit job.  The fixtures under ``tests/data/bench_profiles/``
+Pure-function tests: nothing here runs the simulator.  The fixtures under ``tests/data/bench_profiles/``
 are deterministic (see ``_generate.py`` there) and encode the
 acceptance cases:
 
-* known regressions (10 % and 30 % injected slowdowns) — every
-  detector must flag both;
+* known regressions (10 % and 30 % injected slowdowns) — both
+  detectors must flag both;
 * known noise (50 independent resamples of the baseline distribution)
   — zero false positives, on every trial, for every detector;
-* a pure calibration shift (host 1.3x slower, same code) — no detector
-  may flag it once normalized, and every detector *would* flag it
+* a pure calibration shift (host 1.3x slower, same code) — neither
+  detector may flag it once normalized, and each *would* flag it
   unnormalized (proving the normalization is load-bearing, not
   decorative).
 """
@@ -37,46 +35,22 @@ def _cal_ratio(fx, case):
         fx["baseline"]["host_calibration"], case["host_calibration"])
 
 
-ALL_DETECTORS = sorted(check.DETECTORS)
+DETECTOR_FUNCS = {"bootstrap_median": check.bootstrap_median,
+             "mann_whitney": check.mann_whitney}
+DETECTOR_NAMES = sorted(DETECTOR_FUNCS)
 
 
-class TestRegistry:
-    def test_both_required_detectors_registered(self):
-        assert {"mann_whitney", "bootstrap_median"} <= set(check.DETECTORS)
-
-    def test_resolve_default_is_all(self):
-        assert [d.name for d in check.resolve_detectors()] == ALL_DETECTORS
-
-    def test_resolve_unknown_raises(self):
-        with pytest.raises(KeyError, match="unknown detector"):
-            check.resolve_detectors(["nope"])
-
-    def test_register_decorator_adds_and_runs(self):
-        @check.register_detector("always_fine", min_samples=1)
-        def always_fine(base, cur, cal_ratio=1.0, **kwargs):
-            return check.DetectorVerdict(
-                detector="always_fine", regressed=False, applicable=True,
-                median_ratio=1.0)
-        try:
-            verdicts = check.compare_samples(
-                [1.0], [1.0], detectors=["always_fine"])
-            assert [v.detector for v in verdicts] == ["always_fine"]
-        finally:
-            del check.DETECTORS["always_fine"]
-
-
-@pytest.mark.parametrize("detector", ALL_DETECTORS)
+@pytest.mark.parametrize("detector", DETECTOR_NAMES)
 class TestGoldenFixtures:
     def test_flags_10pct_regression(self, fx, detector):
-        verdict = check.DETECTORS[detector](
+        verdict = DETECTOR_FUNCS[detector](
             fx["baseline"]["samples"], fx["regression_10"]["samples"],
             cal_ratio=_cal_ratio(fx, fx["regression_10"]))
-        assert verdict.applicable
         assert verdict.regressed, verdict.detail
         assert verdict.median_ratio == pytest.approx(0.90, abs=0.03)
 
     def test_flags_30pct_regression(self, fx, detector):
-        verdict = check.DETECTORS[detector](
+        verdict = DETECTOR_FUNCS[detector](
             fx["baseline"]["samples"], fx["regression_30"]["samples"],
             cal_ratio=_cal_ratio(fx, fx["regression_30"]))
         assert verdict.regressed, verdict.detail
@@ -86,9 +60,8 @@ class TestGoldenFixtures:
         """50 seeded noise-only trials: not a single flag allowed."""
         flagged = []
         for index, trial in enumerate(fx["noise_trials"]):
-            verdict = check.DETECTORS[detector](
+            verdict = DETECTOR_FUNCS[detector](
                 fx["baseline"]["samples"], trial, cal_ratio=1.0)
-            assert verdict.applicable
             if verdict.regressed:
                 flagged.append((index, verdict.detail))
         assert flagged == []
@@ -97,7 +70,7 @@ class TestGoldenFixtures:
     def test_immune_to_pure_calibration_shift(self, fx, detector):
         """Slower host, same code: normalized verdict must pass."""
         case = fx["calibration_shift"]
-        verdict = check.DETECTORS[detector](
+        verdict = DETECTOR_FUNCS[detector](
             fx["baseline"]["samples"], case["samples"],
             cal_ratio=_cal_ratio(fx, case))
         assert not verdict.regressed, verdict.detail
@@ -107,33 +80,32 @@ class TestGoldenFixtures:
         """The same shifted samples DO flag without normalization —
         i.e. the calibration ratio is what absorbs the host change."""
         case = fx["calibration_shift"]
-        verdict = check.DETECTORS[detector](
+        verdict = DETECTOR_FUNCS[detector](
             fx["baseline"]["samples"], case["samples"], cal_ratio=1.0)
         assert verdict.regressed, verdict.detail
 
     def test_declines_below_min_samples(self, fx, detector):
-        det = check.DETECTORS[detector]
-        short = fx["baseline"]["samples"][: det.min_samples - 1]
-        verdict = det(fx["baseline"]["samples"], short)
-        assert not verdict.applicable
-        assert not verdict.regressed
-        assert "samples" in verdict.detail
+        short = fx["baseline"]["samples"][: check.MIN_SAMPLES - 1]
+        with pytest.raises(ValueError, match="needs >= 5 samples"):
+            DETECTOR_FUNCS[detector](fx["baseline"]["samples"], short)
+        with pytest.raises(ValueError, match="needs >= 5 samples"):
+            DETECTOR_FUNCS[detector](short, fx["baseline"]["samples"])
 
 
 class TestDeterminism:
     def test_bootstrap_is_seeded(self, fx):
-        a = check.DETECTORS["bootstrap_median"](
+        a = check.bootstrap_median(
             fx["baseline"]["samples"], fx["noise_trials"][0])
-        b = check.DETECTORS["bootstrap_median"](
+        b = check.bootstrap_median(
             fx["baseline"]["samples"], fx["noise_trials"][0])
         assert a == b
         assert a.ci_low is not None and a.ci_high is not None
         assert a.ci_low <= a.ci_high
 
     def test_bootstrap_seed_changes_interval(self, fx):
-        a = check.DETECTORS["bootstrap_median"](
+        a = check.bootstrap_median(
             fx["baseline"]["samples"], fx["noise_trials"][0], seed=1)
-        b = check.DETECTORS["bootstrap_median"](
+        b = check.bootstrap_median(
             fx["baseline"]["samples"], fx["noise_trials"][0], seed=2)
         assert (a.ci_low, a.ci_high) != (b.ci_low, b.ci_high)
 
@@ -148,8 +120,8 @@ class TestDeterminism:
 
 class TestEdgeCases:
     def test_degenerate_all_tied(self):
-        verdict = check.DETECTORS["mann_whitney"]([5.0] * 8, [5.0] * 8)
-        assert verdict.applicable and not verdict.regressed
+        verdict = check.mann_whitney([5.0] * 8, [5.0] * 8)
+        assert not verdict.regressed
         assert "degenerate" in verdict.detail
 
     def test_calibration_ratio_missing_values(self):
@@ -166,8 +138,7 @@ def _result(name, ops, seconds_list):
     best = min(seconds_list)
     return BenchResult(
         name=name, ops=ops, seconds=best, ops_per_sec=ops / best,
-        per_op_us_p50=1.0, per_op_us_p95=2.0, cycles=1, stores=1,
-        transactions=1, repeats=len(seconds_list),
+        cycles=1, stores=1, transactions=1, repeats=len(seconds_list),
         all_seconds=list(seconds_list),
     )
 
@@ -196,8 +167,8 @@ class TestCheckResults:
             self._baseline(fx),
             calibration=fx["baseline"]["host_calibration"])
         outcome = checks["uniform_nvoverlay"]
-        assert outcome.regressed and not outcome.fallback
-        assert {v.detector for v in outcome.verdicts} == set(ALL_DETECTORS)
+        assert outcome.regressed and not outcome.insufficient
+        assert {v.detector for v in outcome.verdicts} == set(DETECTOR_NAMES)
 
     def test_noise_passes(self, fx):
         ops = 64000
@@ -208,21 +179,20 @@ class TestCheckResults:
             calibration=fx["baseline"]["host_calibration"])
         assert not checks["uniform_nvoverlay"].regressed
 
-    def test_too_few_samples_falls_back_to_threshold(self, fx):
+    def test_too_few_baseline_samples_fail_and_name_the_scenario(self, fx):
+        """A starved baseline is never judged, however the run looks."""
         ops = 64000
-        # One repeat: detectors decline, legacy 20% threshold decides.
-        fast = check.check_results(
-            {"uniform_nvoverlay": _result("uniform_nvoverlay", ops,
-                                          [ops / 99_000.0])},
-            self._baseline(fx))
-        assert fast["uniform_nvoverlay"].fallback
-        assert not fast["uniform_nvoverlay"].regressed
-        slow = check.check_results(
-            {"uniform_nvoverlay": _result("uniform_nvoverlay", ops,
-                                          [ops / 50_000.0])},
-            self._baseline(fx))
-        assert slow["uniform_nvoverlay"].fallback
-        assert slow["uniform_nvoverlay"].regressed
+        baseline = self._baseline(fx)
+        baseline["results"]["uniform_nvoverlay"]["samples_ops_per_sec"] = (
+            fx["baseline"]["samples"][:3])
+        seconds = [ops / s for s in fx["noise_trials"][3]]
+        checks = check.check_results(
+            {"uniform_nvoverlay": _result("uniform_nvoverlay", ops, seconds)},
+            baseline, calibration=fx["baseline"]["host_calibration"])
+        outcome = checks["uniform_nvoverlay"]
+        assert outcome.insufficient and not outcome.regressed
+        assert outcome.verdicts == []
+        assert "baseline 3" in outcome.detail
 
     def test_missing_baseline_and_new_scenario_skip(self, fx):
         results = {"brand_new": _result("brand_new", 10, [1.0])}
@@ -239,4 +209,4 @@ class TestCheckResults:
         payload = checks["uniform_nvoverlay"].to_dict()
         json.dumps(payload)
         assert payload["regressed"] is True
-        assert len(payload["verdicts"]) == len(ALL_DETECTORS)
+        assert len(payload["verdicts"]) == len(DETECTOR_NAMES)

@@ -1,10 +1,9 @@
-"""Trajectory/profile store: schema-v2 migration, profiles, round trips.
+"""Trajectory/profile store: the schema-2 gate, profiles, round trips.
 
-No simulator here either — part of the fast CI detector-unit job.
+No simulator here either.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -12,116 +11,36 @@ from repro.harness.bench import store
 from repro.harness.bench.collect import BenchResult
 
 
-def _v1_doc():
-    """A schema-v1 document shaped exactly like the pre-migration
-    committed trajectory: scalar best-of-N plus raw repeat seconds."""
-    return {
-        "schema": 1,
-        "entries": [
-            {
-                "label": "pre-optimization",
-                "timestamp": "2026-08-06T00:00:00",
-                "env": "Linux-x86_64-py3.11",
-                "quick": False,
-                "results": {
-                    "uniform_nvoverlay": {
-                        "ops": 32000,
-                        "seconds": 2.0,
-                        "ops_per_sec": 16000.0,
-                        "per_op_us_p50": 33.8,
-                        "per_op_us_p95": 51.3,
-                        "cycles": 488868,
-                        "stores": 16014,
-                        "transactions": 8000,
-                        "repeats": 3,
-                        "all_seconds": [2.0, 2.5, 3.2],
-                    },
-                    # A degenerate v1 result that kept no repeat times:
-                    # the scalar is all the information there is.
-                    "scalar_only": {"ops_per_sec": 123.4},
-                },
-            },
-        ],
-    }
-
-
 def _result(name, ops, seconds_list):
     best = min(seconds_list)
     return BenchResult(
         name=name, ops=ops, seconds=best, ops_per_sec=ops / best,
-        per_op_us_p50=1.0, per_op_us_p95=2.0, cycles=1, stores=1,
-        transactions=1, repeats=len(seconds_list),
+        cycles=1, stores=1, transactions=1, repeats=len(seconds_list),
         all_seconds=list(seconds_list),
     )
 
 
 class TestMigration:
-    def test_v1_upgrades_to_v2_with_derived_samples(self):
-        data = store.migrate_trajectory(_v1_doc())
-        assert data["schema"] == store.TRAJECTORY_SCHEMA == 2
-        result = data["entries"][0]["results"]["uniform_nvoverlay"]
-        assert result["samples_ops_per_sec"] == [
-            pytest.approx(32000 / s, rel=1e-4) for s in [2.0, 2.5, 3.2]
-        ]
-        # A scalar-only v1 result degrades to its one known sample.
-        scalar = data["entries"][0]["results"]["scalar_only"]
-        assert scalar["samples_ops_per_sec"] == [123.4]
+    """Schema 2 is the only schema ``load_trajectory`` reads."""
 
-    def test_migration_is_lossless(self):
-        original = _v1_doc()
-        migrated = store.migrate_trajectory(json.loads(json.dumps(original)))
-        for entry_before, entry_after in zip(original["entries"],
-                                             migrated["entries"]):
-            for key, value in entry_before.items():
-                if key == "results":
-                    continue
-                assert entry_after[key] == value
-            for name, result in entry_before["results"].items():
-                for key, value in result.items():
-                    assert entry_after["results"][name][key] == value
-
-    def test_migration_is_idempotent(self):
-        once = store.migrate_trajectory(_v1_doc())
-        snapshot = json.dumps(once, sort_keys=True)
-        twice = store.migrate_trajectory(once)
-        assert json.dumps(twice, sort_keys=True) == snapshot
-
-    def test_newer_schema_refused(self):
-        with pytest.raises(ValueError, match="newer than this code"):
-            store.migrate_trajectory({"schema": 99, "entries": []})
-
-    def test_load_migrates_on_read(self, tmp_path):
+    @staticmethod
+    def _refused(tmp_path, schema):
         path = tmp_path / "traj.json"
-        path.write_text(json.dumps(_v1_doc()))
-        data = store.load_trajectory(path)
-        assert data["schema"] == 2
-        samples = store.entry_samples(data["entries"][0], "uniform_nvoverlay")
-        assert len(samples) == 3
+        path.write_text(json.dumps({"schema": schema, "entries": []}))
+        with pytest.raises(ValueError) as excinfo:
+            store.load_trajectory(path)
+        return str(excinfo.value)
 
-    def test_roundtrip_v1_file_then_append(self, tmp_path, monkeypatch):
-        """Load a v1 file, append a v2 entry, reload: one coherent v2
-        document, v1 data intact, old and new entries both usable."""
-        monkeypatch.setenv("REPRO_BENCH_ENV", "rt-env")
-        path = tmp_path / "traj.json"
-        path.write_text(json.dumps(_v1_doc()))
-        store.append_entry(path, {"uniform_nvoverlay": _result(
-            "uniform_nvoverlay", 32000, [1.0, 1.1, 0.9, 1.05, 0.95])},
-            label="fresh", quick=False, timestamp="2026-08-08T00:00:00",
-            calibration=0.009, commit="abc123")
-        data = store.load_trajectory(path)
-        assert data["schema"] == 2
-        assert [e["label"] for e in data["entries"]] == [
-            "pre-optimization", "fresh"]
-        assert data["entries"][0]["results"]["uniform_nvoverlay"][
-            "all_seconds"] == [2.0, 2.5, 3.2]
-        assert data["entries"][1]["commit"] == "abc123"
-        assert len(store.entry_samples(data["entries"][1],
-                                       "uniform_nvoverlay")) == 5
+    def test_retired_schema_1_refused(self, tmp_path):
+        assert "schema 1 is not supported" in self._refused(tmp_path, 1)
+
+    def test_newer_schema_refused(self, tmp_path):
+        assert "schema 3 is not supported" in self._refused(tmp_path, 3)
 
     def test_committed_trajectory_is_v2_with_samples(self):
         data = store.load_trajectory(store.default_trajectory_path())
         raw = json.loads(store.default_trajectory_path().read_text())
-        assert raw["schema"] == 2  # migrated on disk, not just on read
+        assert raw["schema"] == 2  # the only schema the reader takes
         for entry in data["entries"]:
             for name in entry["results"]:
                 assert store.entry_samples(entry, name), (entry["label"], name)
