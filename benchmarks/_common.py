@@ -32,8 +32,6 @@ from repro.workloads import PAPER_WORKLOADS
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None  # None -> cpu count
 USE_CACHE = os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
-#: Timed repeats for throughput measurements (best repeat is reported).
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
 RESULTS_DIR = Path(__file__).parent / "results"
 
 _comparison_cache: Dict[str, Dict[str, RunRecord]] = {}

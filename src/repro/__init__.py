@@ -23,55 +23,73 @@ Quickstart::
     image = SnapshotReader(scheme.cluster).recover()
 """
 
-from .baselines import (
-    HWShadowPaging,
-    ICLogging,
-    JASSAdaptive,
-    MsyncSnapshot,
-    NoSnapshot,
-    PiCL,
-    PiCLL2,
-    SWShadowPaging,
-    SWUndoLogging,
-)
-from .core import (
-    NVOverlay,
-    NVOverlayParams,
-    OMCCluster,
-    RecoveredImage,
-    SnapshotReader,
-    golden_image,
-)
-from .harness import RunSpec, compare, run_one
-from .sim import Machine, RunResult, SystemConfig
-from .workloads import PAPER_WORKLOADS, make_workload, workload_names
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "HWShadowPaging",
-    "ICLogging",
-    "JASSAdaptive",
-    "Machine",
-    "MsyncSnapshot",
-    "NVOverlay",
-    "NVOverlayParams",
-    "NoSnapshot",
-    "OMCCluster",
-    "PAPER_WORKLOADS",
-    "PiCL",
-    "PiCLL2",
-    "RecoveredImage",
-    "RunResult",
-    "RunSpec",
-    "SWShadowPaging",
-    "SWUndoLogging",
-    "SnapshotReader",
-    "SystemConfig",
-    "compare",
-    "golden_image",
-    "make_workload",
-    "run_one",
-    "workload_names",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, exports: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
+    """``(__all__, __getattr__, __dir__)`` re-exporting ``exports`` lazily.
+
+    The one pattern every package ``__init__`` uses (PEP 562): it lists
+    its public names by the relative submodule that defines them, and
+    the ``"."`` entry lists submodules exported as themselves::
+
+        __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+            ".config": ("SystemConfig",),
+            ".": ("report",),
+        })
+
+    A name's submodule is imported the first time the name is read and
+    the value is then bound on the package, so ``import repro.cli``
+    loads only the modules the CLI reads, never the simulator behind
+    them.
+    """
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        if module == ".":
+            value = importlib.import_module(f".{name}", package)
+        else:
+            value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(where))
+
+    return list(where), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".baselines": (
+        "HWShadowPaging",
+        "ICLogging",
+        "JASSAdaptive",
+        "MsyncSnapshot",
+        "NoSnapshot",
+        "PiCL",
+        "PiCLL2",
+        "SWShadowPaging",
+        "SWUndoLogging",
+    ),
+    ".core": (
+        "NVOverlay",
+        "NVOverlayParams",
+        "OMCCluster",
+        "RecoveredImage",
+        "SnapshotReader",
+        "golden_image",
+    ),
+    ".harness": ("RunSpec", "compare", "run_one"),
+    ".sim": ("Machine", "RunResult", "SystemConfig"),
+    ".workloads": ("PAPER_WORKLOADS", "make_workload", "workload_names"),
+})
+__all__.append("__version__")

@@ -1,25 +1,16 @@
 """The paper's comparison points (§VI-B) plus the related-work schemes
 (ICL, adaptive JASS, msync Snapshot), all as ``SnapshotScheme``s."""
 
-from ..sim.scheme import NoSnapshot
-from .base import GlobalEpochScheme
-from .hw_shadow import HWShadowPaging
-from .icl import ICLogging
-from .jass import JASSAdaptive
-from .msync import MsyncSnapshot
-from .picl import PiCL, PiCLL2
-from .sw_shadow import SWShadowPaging
-from .sw_undo_log import SWUndoLogging
+from .. import _lazy_exports
 
-__all__ = [
-    "GlobalEpochScheme",
-    "HWShadowPaging",
-    "ICLogging",
-    "JASSAdaptive",
-    "MsyncSnapshot",
-    "NoSnapshot",
-    "PiCL",
-    "PiCLL2",
-    "SWShadowPaging",
-    "SWUndoLogging",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "..sim.scheme": ("NoSnapshot",),
+    ".base": ("GlobalEpochScheme",),
+    ".hw_shadow": ("HWShadowPaging",),
+    ".icl": ("ICLogging",),
+    ".jass": ("JASSAdaptive",),
+    ".msync": ("MsyncSnapshot",),
+    ".picl": ("PiCL", "PiCLL2"),
+    ".sw_shadow": ("SWShadowPaging",),
+    ".sw_undo_log": ("SWUndoLogging",),
+})

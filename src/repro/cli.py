@@ -60,32 +60,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .harness import experiments, report
+from .harness import report
 from .harness.cache import RunCache
 from .harness.runner import SCHEMES, compare, run_one
 from .harness.spec import RunSpec
-from .workloads import capture_trace, make_workload, save_trace, workload_names
 
-EXPERIMENTS = {
-    "table1": lambda args, opts: _render_table1(),
-    "fig11": lambda args, opts: _render_fig(
-        experiments.fig11_normalized_cycles(
-            workloads=opts.pop("workloads", None), scale=args.scale, **opts
-        ),
-        "Fig. 11: normalized cycles",
-    ),
-    "fig12": lambda args, opts: _render_fig(
-        experiments.fig12_write_amplification(
-            workloads=opts.pop("workloads", None), scale=args.scale, **opts
-        ),
-        "Fig. 12: write bytes normalized to NVOverlay",
-    ),
-    "fig13": lambda args, opts: _render_fig13(args, opts),
-    "fig14": lambda args, opts: _render_fig14(args, opts),
-    "fig15": lambda args, opts: _render_fig15(args, opts),
-    "fig16": lambda args, opts: _render_fig16(args, opts),
-    "fig17": lambda args, opts: _render_fig17(args, opts),
-}
+# The figure drivers, the workloads and the simulator behind them are
+# imported inside the commands that use them: a cache-hit ``compare`` or
+# ``run`` reads only the spec, the cache and the report.
 
 
 def _experiment_options(args) -> dict:
@@ -111,7 +93,9 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _render_table1() -> str:
+def _render_table1(args, opts) -> str:
+    from .harness import experiments
+
     rows = experiments.table1_qualitative()
     columns = sorted(next(iter(rows.values())))
     return report.format_table("Table I", columns, rows)
@@ -122,7 +106,27 @@ def _render_fig(data, title: str) -> str:
     return report.format_table(title, schemes, data)
 
 
+def _render_fig11(args, opts) -> str:
+    from .harness import experiments
+
+    data = experiments.fig11_normalized_cycles(
+        workloads=opts.pop("workloads", None), scale=args.scale, **opts
+    )
+    return _render_fig(data, "Fig. 11: normalized cycles")
+
+
+def _render_fig12(args, opts) -> str:
+    from .harness import experiments
+
+    data = experiments.fig12_write_amplification(
+        workloads=opts.pop("workloads", None), scale=args.scale, **opts
+    )
+    return _render_fig(data, "Fig. 12: write bytes normalized to NVOverlay")
+
+
 def _render_fig13(args, opts) -> str:
+    from .harness import experiments
+
     data = experiments.fig13_metadata_cost(
         workloads=opts.pop("workloads", None), scale=args.scale, **opts
     )
@@ -131,6 +135,8 @@ def _render_fig13(args, opts) -> str:
 
 
 def _render_fig14(args, opts) -> str:
+    from .harness import experiments
+
     opts.pop("workloads", None)
     data = experiments.fig14_epoch_sensitivity(scale=args.scale, **opts)
     rows = {
@@ -146,6 +152,8 @@ def _render_fig14(args, opts) -> str:
 
 
 def _render_fig15(args, opts) -> str:
+    from .harness import experiments
+
     opts.pop("workloads", None)
     data = experiments.fig15_evict_reasons(scale=args.scale, **opts)
     parts = []
@@ -161,6 +169,8 @@ def _render_fig15(args, opts) -> str:
 
 
 def _render_fig16(args, opts) -> str:
+    from .harness import experiments
+
     opts.pop("workloads", None)
     data = experiments.fig16_omc_buffer(scale=args.scale, **opts)
     columns = sorted({key for row in data.values() for key in row})
@@ -168,11 +178,25 @@ def _render_fig16(args, opts) -> str:
 
 
 def _render_fig17(args, opts) -> str:
+    from .harness import experiments
+
     opts.pop("workloads", None)
     series = experiments.fig17_bandwidth(scale=args.scale, bursty=args.bursty,
                                          **opts)
     title = "Fig. 17{}: NVM write bandwidth".format("b" if args.bursty else "a")
     return report.format_series(title, series)
+
+
+EXPERIMENTS = {
+    "table1": _render_table1,
+    "fig11": _render_fig11,
+    "fig12": _render_fig12,
+    "fig13": _render_fig13,
+    "fig14": _render_fig14,
+    "fig15": _render_fig15,
+    "fig16": _render_fig16,
+    "fig17": _render_fig17,
+}
 
 
 def _cmd_run(args) -> int:
@@ -232,6 +256,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_workloads(_args) -> int:
+    from .workloads import workload_names
+
     for name in workload_names():
         print(name)
     return 0
@@ -240,6 +266,8 @@ def _cmd_workloads(_args) -> int:
 def _cmd_trace(args) -> int:
     if args.protocol:
         return _protocol_trace(args)
+    from .workloads import capture_trace, make_workload, save_trace
+
     workload = make_workload(args.workload, num_threads=args.threads,
                              scale=args.scale, seed=args.seed)
     count = save_trace(args.out, capture_trace(workload))
@@ -252,6 +280,7 @@ def _protocol_trace(args) -> int:
     from .harness.runner import make_scheme
     from .oracle import InvariantViolation, ProtocolOracle
     from .sim import Machine, SystemConfig
+    from .workloads import make_workload
 
     config = SystemConfig()
     oracle = ProtocolOracle()
@@ -472,11 +501,10 @@ def _cmd_bench(args) -> int:
 
 
 def _bench_gate(trajectory, path, results, calibration, quick) -> int:
-    """``bench --check``: judge ``results`` against this env's baseline."""
+    """``bench --check``: judge each scenario against its newest baseline."""
     from .harness import bench
 
-    baseline = bench.baseline_entry(trajectory, quick=quick)
-    if baseline is None:
+    if bench.baseline_entry(trajectory, quick=quick) is None:
         print(
             f"error: regression gate: no baseline entry for env "
             f"{bench.env_id()!r} in {path} — nothing to gate against.\n"
@@ -485,38 +513,47 @@ def _bench_gate(trajectory, path, results, calibration, quick) -> int:
             file=sys.stderr,
         )
         return 1
-    checks = bench.check_results(results, baseline, calibration=calibration)
-    base_cal = baseline.get("host_calibration")
-    cal_note = (
-        f"host calibration {calibration / base_cal:.2f}x baseline"
-        if base_cal else
-        f"host calibration {calibration:.3f}s (no baseline value)"
-    )
-    regressed = [n for n, c in checks.items() if c.regressed]
-    for name in regressed:
-        outcome = checks[name]
-        print(f"REGRESSION {name}: median {outcome.median_ratio:.2f}x "
-              f"baseline ({outcome.detail})", file=sys.stderr)
-        for verdict in outcome.verdicts:
-            print(f"  {verdict.detector}: {verdict.detail}", file=sys.stderr)
-    if regressed:
-        print(f"{cal_note} — the detectors already normalized by this, so "
-              f"the drop is not host speed", file=sys.stderr)
-    starved = [n for n, c in checks.items() if c.insufficient]
-    for name in starved:
-        print(f"INSUFFICIENT {name}: baseline {baseline['label']!r} "
-              f"{checks[name].detail}; re-record it with --repeats >= "
-              f"{bench.MIN_SAMPLES}", file=sys.stderr)
-    if regressed or starved:
+    baselines = {name: bench.baseline_entry(trajectory, quick=quick,
+                                            scenario=name)
+                 for name in results}
+    checks = bench.check_results(results, baselines, calibration=calibration)
+
+    def cal_note(name: str) -> str:
+        base_cal = baselines[name].get("host_calibration")
+        return (f"host calibration {calibration / base_cal:.2f}x baseline"
+                if base_cal else
+                f"host calibration {calibration:.3f}s (no baseline value)")
+
+    failed = False
+    for name, outcome in checks.items():
+        if outcome.missing:
+            print(f"MISSING {name}: no {'quick' if quick else 'full'}-mode "
+                  f"entry for env {bench.env_id()!r} in {path} measured it; "
+                  f"record one (run without --check)", file=sys.stderr)
+        elif outcome.insufficient:
+            print(f"INSUFFICIENT {name}: baseline "
+                  f"{baselines[name]['label']!r} {outcome.detail}; re-record "
+                  f"it with --repeats >= {bench.MIN_SAMPLES}", file=sys.stderr)
+        elif outcome.regressed:
+            print(f"REGRESSION {name}: median {outcome.median_ratio:.2f}x "
+                  f"baseline {baselines[name]['label']!r} ({outcome.detail}; "
+                  f"{cal_note(name)}, already normalized, so the drop is not "
+                  f"host speed)", file=sys.stderr)
+            for verdict in outcome.verdicts:
+                print(f"  {verdict.detector}: {verdict.detail}",
+                      file=sys.stderr)
+        else:
+            continue
+        failed = True
+    if failed:
         return 1
-    worst = min(checks, key=lambda n: checks[n].median_ratio) \
-        if checks else None
-    detail = (
-        f"worst median ratio {checks[worst].median_ratio:.2f}x on "
-        f"{worst!r}; {cal_note}" if worst is not None
-        else "no overlapping scenarios to compare"
-    )
-    print(f"regression gate: OK vs {baseline['label']!r} ({detail}).",
+    worst = min(checks, key=lambda n: checks[n].median_ratio)
+    entries = len({baselines[name]["label"] for name in checks})
+    print(f"regression gate: OK, {len(checks)} scenarios judged against "
+          f"{entries} baseline {'entry' if entries == 1 else 'entries'} "
+          f"(worst median ratio "
+          f"{checks[worst].median_ratio:.2f}x on {worst!r} vs "
+          f"{baselines[worst]['label']!r}; {cal_note(worst)}).",
           file=sys.stderr)
     print("A flagged drop can be attributed with "
           "`repro bench bisect --scenario NAME` "

@@ -21,39 +21,13 @@ workload, then use ``scheme.cluster`` for recovery and time-travel reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from ..sim.config import CacheGeometry
 from ..sim.scheme import SnapshotScheme
+from . import NVOverlayParams
 from .epoch import EpochSpace, SenseController
 from .omc import OMCCluster
 from .tag_walker import ScanBudget, TagWalker
-
-
-@dataclass(frozen=True)
-class NVOverlayParams:
-    """Tunables for the NVOverlay mechanism (defaults follow the paper)."""
-
-    #: Number of OMCs (address-partitioned, one elected master).
-    num_omcs: int = 2
-    #: Overlay pool pages per OMC (4 KB each).
-    pool_pages: int = 65536
-    #: Battery-backed write-back buffer in front of the OMCs (§IV-E).
-    use_omc_buffer: bool = False
-    #: Buffer geometry; defaults to the LLC's geometry when enabled
-    #: (the Fig. 16 configuration).
-    buffer_geometry: Optional[CacheGeometry] = None
-    #: Keep merged per-epoch tables for time-travel reads (§V-E).
-    retain_epoch_tables: bool = True
-    #: Storage quota in pages across all OMCs; exceeding it triggers
-    #: version compaction (§V-D).  None disables the quota.
-    quota_pages: Optional[int] = None
-    #: Pages the OS grants per pool-exhaustion exception (§V-D); 0 makes
-    #: exhaustion a hard error instead.
-    os_grow_pages: int = 0
-    #: Enable the background tag walkers (Fig. 15 ablates this).
-    enable_tag_walker: bool = True
 
 
 class NVOverlay(SnapshotScheme):

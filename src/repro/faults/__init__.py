@@ -2,46 +2,30 @@
 
 ``repro.faults.plan`` is dependency-free and safe to import from the
 core/sim layers; the verification side (``verify_crash``, ``crash_sweep``)
-pulls in the harness and is loaded lazily so importing this package — or
-``repro.harness.spec``, which needs :class:`CrashPlan` — never drags the
-whole runner in.
+pulls in the harness.  Names load lazily from the submodule that defines
+them, so importing this package — or ``repro.harness.spec``, which needs
+:class:`CrashPlan` — never drags the whole runner in.
 """
 
-from .plan import (
-    ANY_EVENT,
-    CRASH_EVENTS,
-    CrashPlan,
-    FaultInjector,
-    SimulatedCrash,
-    seeded_plans,
-    sweep_plans,
-)
+from .. import _lazy_exports
 
-_VERIFY_EXPORTS = (
-    "PROBE_COUNT",
-    "CrashVerification",
-    "CrashSweepPoint",
-    "CrashSweepResult",
-    "verify_crash",
-    "crashed_run_record",
-    "crash_sweep",
-)
-
-__all__ = [
-    "ANY_EVENT",
-    "CRASH_EVENTS",
-    "CrashPlan",
-    "FaultInjector",
-    "SimulatedCrash",
-    "seeded_plans",
-    "sweep_plans",
-    *_VERIFY_EXPORTS,
-]
-
-
-def __getattr__(name):
-    if name in _VERIFY_EXPORTS:
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".plan": (
+        "ANY_EVENT",
+        "CRASH_EVENTS",
+        "CrashPlan",
+        "FaultInjector",
+        "SimulatedCrash",
+        "seeded_plans",
+        "sweep_plans",
+    ),
+    ".verify": (
+        "PROBE_COUNT",
+        "CrashVerification",
+        "CrashSweepPoint",
+        "CrashSweepResult",
+        "verify_crash",
+        "crashed_run_record",
+        "crash_sweep",
+    ),
+})

@@ -9,38 +9,21 @@ The import surface downstream code should use:
 * ``experiments`` / ``sweep`` / ``report`` — per-figure drivers.
 """
 
-from . import experiments, report, sweep
-from .cache import RunCache, default_cache_dir
-from .parallel import CellProgress, ParallelRunner, RunSummary
-from .runner import (
-    COMPARED_SCHEMES,
-    SCHEMES,
-    RunRecord,
-    compare,
-    make_scheme,
-    normalize_records,
-    run_one,
-    simulate,
-)
-from .spec import CACHE_SCHEMA_VERSION, RunSpec
+from .. import _lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "COMPARED_SCHEMES",
-    "CellProgress",
-    "ParallelRunner",
-    "RunCache",
-    "RunRecord",
-    "RunSpec",
-    "RunSummary",
-    "SCHEMES",
-    "compare",
-    "default_cache_dir",
-    "experiments",
-    "make_scheme",
-    "normalize_records",
-    "report",
-    "run_one",
-    "simulate",
-    "sweep",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".": ("experiments", "report", "sweep"),
+    ".cache": ("RunCache", "default_cache_dir"),
+    ".parallel": ("CellProgress", "ParallelRunner", "RunSummary"),
+    ".runner": (
+        "COMPARED_SCHEMES",
+        "SCHEMES",
+        "RunRecord",
+        "compare",
+        "make_scheme",
+        "normalize_records",
+        "run_one",
+        "simulate",
+    ),
+    ".spec": ("CACHE_SCHEMA_VERSION", "RunSpec"),
+})

@@ -27,89 +27,49 @@ hierarchy (the ``l1.accesses`` counter), and the timed region includes
 lazy trace generation — that is the real cost of an experiment.
 """
 
-from . import bisect, check, collect, store
-from .bisect import BisectReport, BisectStep, bisect_trajectory
-from .check import (
-    ALPHA,
-    BOOTSTRAP_CONFIDENCE,
-    BOOTSTRAP_RESAMPLES,
-    BOOTSTRAP_SEED,
-    MIN_EFFECT,
-    MIN_SAMPLES,
-    DetectorVerdict,
-    ScenarioCheck,
-    bootstrap_median,
-    calibration_ratio,
-    check_entry_pair,
-    check_results,
-    compare_samples,
-    mann_whitney,
-    normalize_samples,
-)
-from .collect import (
-    CALIBRATION_ROUNDS,
-    SCENARIOS,
-    BenchResult,
-    BenchScenario,
-    host_calibration,
-    run_bench,
-    run_fingerprint,
-    run_scenario,
-)
-from .store import (
-    TRAJECTORY_FILENAME,
-    TRAJECTORY_SCHEMA,
-    append_entry,
-    baseline_entry,
-    current_commit,
-    default_trajectory_path,
-    entry_samples,
-    env_id,
-    load_trajectory,
-    make_entry,
-    write_profile,
-)
+from ... import _lazy_exports
 
-__all__ = [
-    "ALPHA",
-    "BOOTSTRAP_CONFIDENCE",
-    "BOOTSTRAP_RESAMPLES",
-    "BOOTSTRAP_SEED",
-    "BenchResult",
-    "BenchScenario",
-    "BisectReport",
-    "BisectStep",
-    "CALIBRATION_ROUNDS",
-    "DetectorVerdict",
-    "MIN_EFFECT",
-    "MIN_SAMPLES",
-    "SCENARIOS",
-    "ScenarioCheck",
-    "TRAJECTORY_FILENAME",
-    "TRAJECTORY_SCHEMA",
-    "append_entry",
-    "baseline_entry",
-    "bisect",
-    "bisect_trajectory",
-    "bootstrap_median",
-    "calibration_ratio",
-    "check",
-    "check_entry_pair",
-    "check_results",
-    "collect",
-    "compare_samples",
-    "current_commit",
-    "default_trajectory_path",
-    "entry_samples",
-    "env_id",
-    "host_calibration",
-    "load_trajectory",
-    "make_entry",
-    "mann_whitney",
-    "normalize_samples",
-    "run_bench",
-    "run_fingerprint",
-    "run_scenario",
-    "store",
-    "write_profile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".": ("bisect", "check", "collect", "store"),
+    ".bisect": ("BisectReport", "BisectStep", "bisect_trajectory"),
+    ".check": (
+        "ALPHA",
+        "BOOTSTRAP_CONFIDENCE",
+        "BOOTSTRAP_RESAMPLES",
+        "BOOTSTRAP_SEED",
+        "MIN_EFFECT",
+        "MIN_SAMPLES",
+        "DetectorVerdict",
+        "ScenarioCheck",
+        "bootstrap_median",
+        "calibration_ratio",
+        "check_entry_pair",
+        "check_results",
+        "compare_samples",
+        "mann_whitney",
+        "normalize_samples",
+    ),
+    ".collect": (
+        "CALIBRATION_ROUNDS",
+        "SCENARIOS",
+        "BenchResult",
+        "BenchScenario",
+        "host_calibration",
+        "run_bench",
+        "run_fingerprint",
+        "run_scenario",
+    ),
+    ".store": (
+        "TRAJECTORY_FILENAME",
+        "TRAJECTORY_SCHEMA",
+        "append_entry",
+        "baseline_entry",
+        "current_commit",
+        "default_trajectory_path",
+        "entry_samples",
+        "env_id",
+        "load_trajectory",
+        "make_entry",
+        "write_profile",
+    ),
+})

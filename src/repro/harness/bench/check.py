@@ -23,9 +23,12 @@ detectable 0.5 % dip is noise to us, and the floor is what drives the
 false-positive rate on noise-only distributions to zero.  Neither
 statistic means anything below :data:`MIN_SAMPLES` samples per side,
 so a sample-starved pair is never judged: it fails the gate as
-*insufficient*.  Detectors are pure functions of (baseline samples,
-current samples, calibration ratio), so every verdict is
-unit-testable without running the simulator.
+*insufficient*.  Each scenario is judged against the newest stored
+entry that measured it, and one that no entry measured fails as
+*missing* — the gate never passes by judging less than it ran.
+Detectors are pure functions of (baseline samples, current samples,
+calibration ratio), so every verdict is unit-testable without running
+the simulator.
 """
 
 from __future__ import annotations
@@ -263,12 +266,15 @@ class ScenarioCheck:
     #: A side had fewer than :data:`MIN_SAMPLES` samples, so no
     #: detector ran; the gate fails rather than guess.
     insufficient: bool = False
+    #: No baseline entry measured the scenario; the gate fails.
+    missing: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "scenario": self.scenario,
             "regressed": self.regressed,
             "insufficient": self.insufficient,
+            "missing": self.missing,
             "median_ratio": round(self.median_ratio, 4),
             "verdicts": [v.to_dict() for v in self.verdicts],
             "detail": self.detail,
@@ -290,25 +296,28 @@ def check_entry_pair(
 
 def check_results(
     results: Dict[str, BenchResult],
-    baseline: Optional[Dict[str, Any]],
+    baselines: Dict[str, Optional[Dict[str, Any]]],
     calibration: Optional[float] = None,
 ) -> Dict[str, ScenarioCheck]:
-    """Judge a fresh ``run_bench`` result set against a baseline entry.
+    """Judge a fresh ``run_bench`` result set, scenario by scenario.
 
-    Scenarios absent from the baseline are skipped (a brand-new
-    scenario has nothing to regress against).  With ``baseline`` None
-    the result is empty — the caller decides whether a missing baseline
-    is an error (``--check`` does).
+    ``baselines`` maps each scenario to the stored entry it is judged
+    against: the newest entry of this environment and mode that measured
+    it (``store.baseline_entry(..., scenario=name)``), normalized by that
+    entry's own host calibration.  A scenario without one fails as
+    *missing* rather than being skipped.
     """
-    if baseline is None:
-        return {}
-    ratio = calibration_ratio(baseline.get("host_calibration"), calibration)
     checks: Dict[str, ScenarioCheck] = {}
     for name, result in results.items():
-        base = entry_samples(baseline, name)
-        if base:
-            checks[name] = _judge(name, base, result.samples_ops_per_sec,
-                                  ratio)
+        baseline = baselines.get(name)
+        if baseline is None:
+            checks[name] = ScenarioCheck(
+                scenario=name, regressed=False, median_ratio=math.nan,
+                missing=True, detail="no baseline entry measured it")
+            continue
+        ratio = calibration_ratio(baseline.get("host_calibration"), calibration)
+        checks[name] = _judge(name, entry_samples(baseline, name),
+                              result.samples_ops_per_sec, ratio)
     return checks
 
 

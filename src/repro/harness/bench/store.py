@@ -146,14 +146,24 @@ def write_profile(
 
 
 def baseline_entry(
-    data: Dict[str, Any], env: Optional[str] = None, quick: Optional[bool] = None
+    data: Dict[str, Any],
+    env: Optional[str] = None,
+    quick: Optional[bool] = None,
+    scenario: Optional[str] = None,
 ) -> Optional[Dict[str, Any]]:
-    """The most recent entry matching this environment (and quick flag)."""
+    """The most recent entry matching this environment (and quick flag).
+
+    With ``scenario``, the most recent such entry that measured it: an
+    entry recording only some scenarios (a paired A/B) leaves the others
+    judged against the older entries that hold them.
+    """
     env = env or env_id()
     for entry in reversed(data.get("entries", [])):
         if entry.get("env") != env:
             continue
         if quick is not None and bool(entry.get("quick")) != quick:
+            continue
+        if scenario is not None and not entry_samples(entry, scenario):
             continue
         return entry
     return None

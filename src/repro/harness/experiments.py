@@ -27,9 +27,9 @@ from .cache import RunCache
 from .parallel import ParallelRunner, ProgressCallback
 from .runner import (
     COMPARED_SCHEMES,
-    SCHEMES,
     RunRecord,
     comparison_specs,
+    make_scheme,
     normalize_records,
 )
 from .spec import RunSpec
@@ -55,7 +55,7 @@ def table1_qualitative() -> Dict[str, Dict[str, object]]:
     classes themselves so it cannot drift from the implementation."""
     rows: Dict[str, Dict[str, object]] = {}
     for name in COMPARED_SCHEMES:
-        scheme = SCHEMES[name]()
+        scheme = make_scheme(name)
         rows[name] = {
             "min_write_amplification": scheme.minimum_write_amplification,
             "no_commit_time": scheme.no_commit_time,

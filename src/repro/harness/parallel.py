@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cache import RunCache, resolve_cache
-from .runner import RunRecord, simulate
+from .runner import RunRecord, import_simulator, simulate
 from .spec import RunSpec
 
 
@@ -126,6 +125,12 @@ class ParallelRunner:
         results: List[Optional[RunRecord]],
         summary: RunSummary,
     ) -> None:
+        # Lazy import: a grid answered from the cache never pays for the
+        # pool.  The simulator loads here, once, so the forked workers
+        # inherit it instead of each importing it again.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+        import_simulator()
         workers = min(self.jobs, len(pending))
         cache_dir = str(self.cache.directory) if self.cache is not None else None
         with ProcessPoolExecutor(max_workers=workers) as pool:

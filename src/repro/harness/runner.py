@@ -19,38 +19,31 @@ the runner knowing anything about tenancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from ..baselines import (
-    HWShadowPaging,
-    ICLogging,
-    JASSAdaptive,
-    MsyncSnapshot,
-    NoSnapshot,
-    PiCL,
-    PiCLL2,
-    SWShadowPaging,
-    SWUndoLogging,
-)
-from ..core import NVOverlay, NVOverlayParams
-from ..sim import Machine
-from ..sim.scheme import SnapshotScheme
-from ..workloads import make_workload
+from ..core import NVOverlayParams
 from .spec import RunSpec
 
+if TYPE_CHECKING:
+    from ..sim.scheme import SnapshotScheme
+    from ..sim.system import Machine
+
 #: Scheme registry: the paper's figures in order, then the related-work
-#: additions (ICL, adaptive JASS, msync Snapshot).
-SCHEMES: Dict[str, Callable[[], SnapshotScheme]] = {
-    "ideal": NoSnapshot,
-    "sw_logging": SWUndoLogging,
-    "sw_shadow": SWShadowPaging,
-    "hw_shadow": HWShadowPaging,
-    "picl": PiCL,
-    "picl_l2": PiCLL2,
-    "icl": ICLogging,
-    "jass_adaptive": JASSAdaptive,
-    "msync_snapshot": MsyncSnapshot,
-    "nvoverlay": NVOverlay,
+#: additions (ICL, adaptive JASS, msync Snapshot).  Each name maps to its
+#: class among ``repro``'s exports, resolved only when ``make_scheme``
+#: builds one, so reading the names (CLI choices, cache hits) loads no
+#: scheme.
+SCHEMES: Dict[str, str] = {
+    "ideal": "NoSnapshot",
+    "sw_logging": "SWUndoLogging",
+    "sw_shadow": "SWShadowPaging",
+    "hw_shadow": "HWShadowPaging",
+    "picl": "PiCL",
+    "picl_l2": "PiCLL2",
+    "icl": "ICLogging",
+    "jass_adaptive": "JASSAdaptive",
+    "msync_snapshot": "MsyncSnapshot",
+    "nvoverlay": "NVOverlay",
 }
 
 #: The compared schemes of the Fig. 11/12-style sweeps (ideal is the
@@ -115,13 +108,32 @@ class RunRecord:
         )
 
 
-def make_scheme(name: str, nvo_params: Optional[NVOverlayParams] = None) -> SnapshotScheme:
+def _scheme_class(name: str) -> type:
+    import repro  # its lazy exports import the scheme's module on first read
+
+    return getattr(repro, SCHEMES[name])
+
+
+def make_scheme(
+    name: str, nvo_params: Optional[NVOverlayParams] = None
+) -> SnapshotScheme:
+    """The one construction path for a registered scheme."""
     if name not in SCHEMES:
         known = ", ".join(SCHEMES)
         raise KeyError(f"unknown scheme {name!r}; known: {known}")
-    if name == "nvoverlay" and nvo_params is not None:
-        return NVOverlay(nvo_params)
-    return SCHEMES[name]()
+    if name == "nvoverlay":
+        return _scheme_class(name)(nvo_params)
+    return _scheme_class(name)()
+
+
+def import_simulator() -> None:
+    """Import everything :func:`build_run` builds from: the machine, every
+    scheme and every workload."""
+    from ..sim import system  # noqa: F401
+    from ..workloads import registry  # noqa: F401
+
+    for name in SCHEMES:
+        _scheme_class(name)
 
 
 def build_run(spec: RunSpec) -> Tuple[Machine, Any, Any]:
@@ -132,6 +144,9 @@ def build_run(spec: RunSpec) -> Tuple[Machine, Any, Any]:
     spec gets its ``ReaderScheduler`` hung off the run loop (None
     otherwise).  Run it with :func:`run_built`.
     """
+    from ..sim.system import Machine
+    from ..workloads import make_workload
+
     config = spec.resolved_config
     oracle = None
     if spec.oracle:
@@ -176,6 +191,8 @@ def run_built(machine: Machine, workload: Any, scheduler: Any) -> Any:
 
 def simulate(spec: RunSpec) -> RunRecord:
     """Run one cell, unconditionally (no cache).  Pure in ``spec``."""
+    from ..core.nvoverlay import NVOverlay
+
     if spec.crash_plan is not None:
         # Crash-plan cells are verification runs: crash, recover, diff
         # against the golden replay.  Lazy import — faults.verify pulls

@@ -27,13 +27,13 @@ from typing import Any, Dict, Optional
 from ..core import NVOverlayParams
 from ..faults.plan import CrashPlan
 from ..serve.policy import ServePolicy
-from ..sim import SystemConfig
 from ..sim.config import (
     AdaptiveEpochPolicy,
     BurstyEpochPolicy,
     CacheGeometry,
     EpochPolicy,
     FixedEpochPolicy,
+    SystemConfig,
 )
 
 #: Bump whenever simulation semantics change in a way that invalidates

@@ -21,36 +21,23 @@ amplification and p95/p99 store-latency columns on top of the usual
 cycle/byte numbers.
 """
 
-from .scenarios import (
-    DEFAULT_CRASH_AT,
-    DEFAULT_SERVE_POLICY,
-    QUICK_SCALE,
-    SERVE_NVO_PARAMS,
-    LoadResult,
-    Scenario,
-    get_scenario,
-    register_scenario,
-    run_burst_load,
-    run_scenario,
-    run_steady_load,
-    run_timetravel_serve,
-    run_worker_failure,
-    scenario_names,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CRASH_AT",
-    "DEFAULT_SERVE_POLICY",
-    "QUICK_SCALE",
-    "SERVE_NVO_PARAMS",
-    "LoadResult",
-    "Scenario",
-    "get_scenario",
-    "register_scenario",
-    "run_burst_load",
-    "run_scenario",
-    "run_steady_load",
-    "run_timetravel_serve",
-    "run_worker_failure",
-    "scenario_names",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".scenarios": (
+        "DEFAULT_CRASH_AT",
+        "DEFAULT_SERVE_POLICY",
+        "QUICK_SCALE",
+        "SERVE_NVO_PARAMS",
+        "LoadResult",
+        "Scenario",
+        "get_scenario",
+        "register_scenario",
+        "run_burst_load",
+        "run_scenario",
+        "run_steady_load",
+        "run_timetravel_serve",
+        "run_worker_failure",
+        "scenario_names",
+    ),
+})

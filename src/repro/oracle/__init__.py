@@ -7,18 +7,10 @@ build time, same pattern as the fault injector).  See ``docs/api.md``
 ("Invariant oracle & differential testing").
 """
 
-from .trace import EVENT_KINDS, TraceBuffer, TraceEvent, format_window
-from .invariants import InvariantViolation, ProtocolOracle
-from .differential import DifferentialMismatch, compare_outcomes, run_differential
+from .. import _lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "TraceBuffer",
-    "TraceEvent",
-    "format_window",
-    "InvariantViolation",
-    "ProtocolOracle",
-    "DifferentialMismatch",
-    "compare_outcomes",
-    "run_differential",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".trace": ("EVENT_KINDS", "TraceBuffer", "TraceEvent", "format_window"),
+    ".invariants": ("InvariantViolation", "ProtocolOracle"),
+    ".differential": ("DifferentialMismatch", "compare_outcomes", "run_differential"),
+})

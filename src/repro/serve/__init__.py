@@ -9,15 +9,10 @@ O(1) epoch-pinned read views over the Master Mapping Table,
 the cache and the parallel runner.
 """
 
-from .policy import MODES, ServePolicy
-from .scheduler import MAPPING_WALK_CYCLES, ReaderScheduler
-from .session import SessionManager, SnapshotSession
+from .. import _lazy_exports
 
-__all__ = [
-    "MAPPING_WALK_CYCLES",
-    "MODES",
-    "ReaderScheduler",
-    "ServePolicy",
-    "SessionManager",
-    "SnapshotSession",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".policy": ("MODES", "ServePolicy"),
+    ".scheduler": ("MAPPING_WALK_CYCLES", "ReaderScheduler"),
+    ".session": ("SessionManager", "SnapshotSession"),
+})

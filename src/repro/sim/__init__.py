@@ -7,81 +7,39 @@ deterministically.  Snapshotting designs plug in via
 ``repro.sim.scheme.SnapshotScheme``.
 """
 
-from .cache import MESI, CacheArray, CacheLine
-from .config import (
-    CACHE_LINE_SHIFT,
-    CACHE_LINE_SIZE,
-    NVM_PROFILES,
-    PAGE_SHIFT,
-    PAGE_SIZE,
-    AdaptiveEpochPolicy,
-    CacheGeometry,
-    NVMDeviceProfile,
-    SystemConfig,
-)
-from .dram import DRAM
-from .hierarchy import Hierarchy
-from .interconnect import Interconnect
-from .memory import MainMemory, line_base, line_of, lines_touched, page_of
-from .nvm import NVM, WRITE_CATEGORIES
-from .scheme import (
-    EVICT_REASONS,
-    REASON_CAPACITY,
-    REASON_COHERENCE,
-    REASON_OTHER,
-    REASON_STORE_EVICT,
-    REASON_TAG_WALK,
-    NoSnapshot,
-    SnapshotScheme,
-)
-from .stats import Stats
-from .system import Machine, RunResult
-from .trace import LOAD, STORE, MemOp, TraceRecorder, load, store
-from .validate import InvariantViolation, validate_hierarchy
-from .wear import WearReport, WearTracker
+from .. import _lazy_exports
 
-__all__ = [
-    "AdaptiveEpochPolicy",
-    "CACHE_LINE_SHIFT",
-    "CACHE_LINE_SIZE",
-    "DRAM",
-    "NVMDeviceProfile",
-    "NVM_PROFILES",
-    "EVICT_REASONS",
-    "Hierarchy",
-    "Interconnect",
-    "InvariantViolation",
-    "LOAD",
-    "MESI",
-    "Machine",
-    "MainMemory",
-    "MemOp",
-    "NVM",
-    "NoSnapshot",
-    "PAGE_SHIFT",
-    "PAGE_SIZE",
-    "REASON_CAPACITY",
-    "REASON_COHERENCE",
-    "REASON_OTHER",
-    "REASON_STORE_EVICT",
-    "REASON_TAG_WALK",
-    "RunResult",
-    "STORE",
-    "SnapshotScheme",
-    "Stats",
-    "SystemConfig",
-    "CacheArray",
-    "CacheGeometry",
-    "CacheLine",
-    "TraceRecorder",
-    "WRITE_CATEGORIES",
-    "WearReport",
-    "WearTracker",
-    "line_base",
-    "validate_hierarchy",
-    "line_of",
-    "lines_touched",
-    "load",
-    "page_of",
-    "store",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".cache": ("MESI", "CacheArray", "CacheLine"),
+    ".config": (
+        "CACHE_LINE_SHIFT",
+        "CACHE_LINE_SIZE",
+        "NVM_PROFILES",
+        "PAGE_SHIFT",
+        "PAGE_SIZE",
+        "AdaptiveEpochPolicy",
+        "CacheGeometry",
+        "NVMDeviceProfile",
+        "SystemConfig",
+    ),
+    ".dram": ("DRAM",),
+    ".hierarchy": ("Hierarchy",),
+    ".interconnect": ("Interconnect",),
+    ".memory": ("MainMemory", "line_base", "line_of", "lines_touched", "page_of"),
+    ".nvm": ("NVM", "WRITE_CATEGORIES"),
+    ".scheme": (
+        "EVICT_REASONS",
+        "REASON_CAPACITY",
+        "REASON_COHERENCE",
+        "REASON_OTHER",
+        "REASON_STORE_EVICT",
+        "REASON_TAG_WALK",
+        "NoSnapshot",
+        "SnapshotScheme",
+    ),
+    ".stats": ("Stats",),
+    ".system": ("Machine", "RunResult"),
+    ".trace": ("LOAD", "STORE", "MemOp", "TraceRecorder", "load", "store"),
+    ".validate": ("InvariantViolation", "validate_hierarchy"),
+    ".wear": ("WearReport", "WearTracker"),
+})

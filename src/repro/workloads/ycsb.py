@@ -37,6 +37,8 @@ MIXES = {
     "e": {"scan": 0.95, "insert": 0.05},
     "f": {"read": 0.5, "rmw": 0.5},
 }
+#: ``MIXES`` under the name ``repro.workloads`` exports it as.
+YCSB_MIXES = MIXES
 SCAN_LENGTH = 32
 
 

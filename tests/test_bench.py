@@ -206,6 +206,22 @@ class TestTrajectory:
         assert baseline_entry(data, quick=False) is None
         assert baseline_entry(data, env="other-env") is None
 
+    def test_baseline_is_the_newest_entry_that_measured_the_scenario(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
+        path = tmp_path / "traj.json"
+        append_entry(path, {name: _result(name, 100.0)
+                            for name in ("uniform_picl", "btree_picl")},
+                     label="both", quick=True, timestamp="2026-01-01T00:00:00")
+        append_entry(path, {"btree_picl": _result("btree_picl", 100.0)},
+                     label="one", quick=True, timestamp="2026-01-02T00:00:00")
+        data = load_trajectory(path)
+        assert baseline_entry(data, quick=True)["label"] == "one"
+        assert baseline_entry(data, quick=True, scenario="btree_picl")["label"] == "one"
+        assert baseline_entry(data, quick=True, scenario="uniform_picl")["label"] == "both"
+        assert baseline_entry(data, quick=True, scenario="ycsb_a_picl") is None
+
     def test_env_id_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_ENV", "github-ci")
         assert env_id() == "github-ci"
@@ -321,6 +337,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert "INSUFFICIENT ycsb_a_picl" in err
         assert "baseline 3" in err
+        assert "regression gate: OK" not in err
+
+    def test_bench_check_judges_every_scenario_against_its_newest_entry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A newest entry holding one scenario (a paired A/B) leaves the
+        others judged against the older entry that measured them: a
+        slowdown there still fails the gate."""
+        monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
+        path = tmp_path / "traj.json"
+        fast = [32000 / s for s in [0.50, 0.45, 0.55, 0.48, 0.52]]
+        append_entry(path, {name: _result(name, max(fast), samples=fast)
+                            for name in ("ycsb_a_picl", "uniform_picl")},
+                     label="full", quick=True, timestamp="2026-01-01T00:00:00")
+        append_entry(path, {"uniform_picl": _result(
+            "uniform_picl", max(fast), samples=fast)},
+            label="a/b", quick=True, timestamp="2026-01-02T00:00:00")
+        argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl,uniform_picl",
+                "--repeats", "5", "--trajectory", str(path), "--check",
+                "--no-update"]
+        fake_collect(monkeypatch, [0.5, 0.45, 0.55, 0.48, 0.52])
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "regression gate: OK, 2 scenarios judged against 2 " in err
+        fake_collect(monkeypatch, [0.65, 0.59, 0.72, 0.62, 0.68])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "REGRESSION ycsb_a_picl" in err and "baseline 'full'" in err
+
+    def test_bench_check_fails_a_scenario_no_entry_measured(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BENCH_ENV", "test-env")
+        path = tmp_path / "traj.json"
+        fast = [32000 / s for s in [0.50, 0.45, 0.55, 0.48, 0.52]]
+        append_entry(path, {"uniform_picl": _result(
+            "uniform_picl", max(fast), samples=fast)},
+            label="partial", quick=True, timestamp="2026-01-01T00:00:00")
+        fake_collect(monkeypatch, [0.5, 0.45, 0.55, 0.48, 0.52])
+        argv = ["bench", "--quick", "--scenarios", "ycsb_a_picl,uniform_picl",
+                "--repeats", "5", "--trajectory", str(path), "--check",
+                "--no-update"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "MISSING ycsb_a_picl" in err
+        assert "uniform_picl" not in err.split("MISSING", 1)[1].split("\n")[0]
         assert "regression gate: OK" not in err
 
     def test_bench_refuses_a_schema_1_trajectory(self, tmp_path, capsys,

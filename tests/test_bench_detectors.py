@@ -144,7 +144,10 @@ def _result(name, ops, seconds_list):
 
 
 class TestCheckResults:
-    """The gate path ``--check`` uses: fresh results vs a stored entry."""
+    """The gate path ``--check`` uses: fresh results vs stored entries."""
+
+    def _baselines(self, fx):
+        return {"uniform_nvoverlay": self._baseline(fx)}
 
     def _baseline(self, fx):
         return {
@@ -164,7 +167,7 @@ class TestCheckResults:
         seconds = [ops / s for s in fx["regression_10"]["samples"]]
         checks = check.check_results(
             {"uniform_nvoverlay": _result("uniform_nvoverlay", ops, seconds)},
-            self._baseline(fx),
+            self._baselines(fx),
             calibration=fx["baseline"]["host_calibration"])
         outcome = checks["uniform_nvoverlay"]
         assert outcome.regressed and not outcome.insufficient
@@ -175,7 +178,7 @@ class TestCheckResults:
         seconds = [ops / s for s in fx["noise_trials"][3]]
         checks = check.check_results(
             {"uniform_nvoverlay": _result("uniform_nvoverlay", ops, seconds)},
-            self._baseline(fx),
+            self._baselines(fx),
             calibration=fx["baseline"]["host_calibration"])
         assert not checks["uniform_nvoverlay"].regressed
 
@@ -188,23 +191,27 @@ class TestCheckResults:
         seconds = [ops / s for s in fx["noise_trials"][3]]
         checks = check.check_results(
             {"uniform_nvoverlay": _result("uniform_nvoverlay", ops, seconds)},
-            baseline, calibration=fx["baseline"]["host_calibration"])
+            {"uniform_nvoverlay": baseline},
+            calibration=fx["baseline"]["host_calibration"])
         outcome = checks["uniform_nvoverlay"]
         assert outcome.insufficient and not outcome.regressed
         assert outcome.verdicts == []
         assert "baseline 3" in outcome.detail
 
-    def test_missing_baseline_and_new_scenario_skip(self, fx):
+    def test_scenario_without_a_baseline_fails_as_missing(self, fx):
+        """A scenario no entry measured fails instead of being skipped."""
         results = {"brand_new": _result("brand_new", 10, [1.0])}
-        assert check.check_results(results, None) == {}
-        assert check.check_results(results, self._baseline(fx)) == {}
+        for baselines in ({}, {"brand_new": None}, self._baselines(fx)):
+            outcome = check.check_results(results, baselines)["brand_new"]
+            assert outcome.missing and not outcome.regressed
+            assert outcome.verdicts == []
 
     def test_scenario_check_serializes(self, fx):
         ops = 64000
         seconds = [ops / s for s in fx["regression_30"]["samples"]]
         checks = check.check_results(
             {"uniform_nvoverlay": _result("uniform_nvoverlay", ops, seconds)},
-            self._baseline(fx),
+            self._baselines(fx),
             calibration=fx["baseline"]["host_calibration"])
         payload = checks["uniform_nvoverlay"].to_dict()
         json.dumps(payload)

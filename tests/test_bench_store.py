@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.harness.bench import store
-from repro.harness.bench.collect import BenchResult
+from repro.harness.bench.collect import SCENARIOS, BenchResult
 
 
 def _result(name, ops, seconds_list):
@@ -53,6 +53,17 @@ class TestMigration:
         assert entry is not None
         assert entry["host_calibration"] > 0
         for name in entry["results"]:
+            assert len(store.entry_samples(entry, name)) >= 5, name
+
+    def test_committed_github_ci_baselines_cover_every_scenario(self):
+        """CI's quick gate judges every registered scenario: none fails
+        as missing or insufficient against the committed trajectory."""
+        data = store.load_trajectory(store.default_trajectory_path())
+        for name in SCENARIOS:
+            entry = store.baseline_entry(data, env="github-ci", quick=True,
+                                         scenario=name)
+            assert entry is not None, name
+            assert entry["host_calibration"] > 0, name
             assert len(store.entry_samples(entry, name)) >= 5, name
 
 
